@@ -23,15 +23,8 @@ int main(int argc, char** argv) {
   // Table 1: the search space.
   {
     Table t({"parameter", "description", "range"});
-    const char* desc[5] = {"Maximum callee size allowable to inline",
-                           "Callees smaller than this are always inlined",
-                           "Maximum inlining depth at a call site",
-                           "Maximum caller size to inline into",
-                           "Maximum hot callee to inline"};
-    const auto& ranges = heur::param_ranges();
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-      t.add_row({ranges[i].name, desc[i],
-                 std::to_string(ranges[i].lo) + "-" + std::to_string(ranges[i].hi)});
+    for (const heur::ParamRange& r : heur::param_ranges()) {
+      t.add_row({r.name, r.description, std::to_string(r.lo) + "-" + std::to_string(r.hi)});
     }
     std::cout << "Table 1 — tuned parameters and ranges (search space "
               << tuner::inline_param_space(true).cardinality() << " settings):\n";

@@ -8,6 +8,7 @@
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ith::ga {
@@ -33,23 +34,22 @@ void GeneticAlgorithm::set_progress(std::function<void(const GenerationStats&)> 
 }
 
 std::uint64_t GeneticAlgorithm::fingerprint() const {
-  using resilience::hash_string;
   using resilience::mix_keys;
-  std::uint64_t h = hash_string("ith-ga-fingerprint");
+  std::uint64_t h = fnv1a("ith-ga-fingerprint");
   h = mix_keys(h, static_cast<std::uint64_t>(config_.population));
   h = mix_keys(h, static_cast<std::uint64_t>(config_.generations));
   h = mix_keys(h, static_cast<std::uint64_t>(config_.selection));
   h = mix_keys(h, static_cast<std::uint64_t>(config_.tournament_k));
   h = mix_keys(h, static_cast<std::uint64_t>(config_.crossover));
-  h = mix_keys(h, hash_string(std::to_string(config_.crossover_rate)));
+  h = mix_keys(h, fnv1a(std::to_string(config_.crossover_rate)));
   h = mix_keys(h, static_cast<std::uint64_t>(config_.mutation));
-  h = mix_keys(h, hash_string(std::to_string(config_.mutation_prob)));
+  h = mix_keys(h, fnv1a(std::to_string(config_.mutation_prob)));
   h = mix_keys(h, static_cast<std::uint64_t>(config_.elites));
   h = mix_keys(h, config_.seed);
   h = mix_keys(h, static_cast<std::uint64_t>(config_.patience));
   h = mix_keys(h, config_.memoize ? 1 : 0);
   for (const GeneSpec& gs : space_.genes()) {
-    h = mix_keys(h, hash_string(gs.name));
+    h = mix_keys(h, fnv1a(gs.name));
     h = mix_keys(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(gs.lo)));
     h = mix_keys(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(gs.hi)));
   }

@@ -39,15 +39,15 @@ const std::array<ParamRange, InlineParams::kNumParams>& param_ranges() {
       // default (11) and every tuned value the paper reports (6-16). Note
       // the resulting space is ~3.6e10, not the ~3e11 the paper quotes; no
       // assignment of the printed ranges reproduces that number exactly.
-      {"CALLEE_MAX_SIZE", 1, 50},
-      {"ALWAYS_INLINE_SIZE", 1, 30},
-      {"MAX_INLINE_DEPTH", 1, 15},
-      {"CALLER_MAX_SIZE", 1, 4000},
-      {"HOT_CALLEE_MAX_SIZE", 1, 400},
+      {"CALLEE_MAX_SIZE", 1, 50, "Maximum callee size allowable to inline"},
+      {"ALWAYS_INLINE_SIZE", 1, 30, "Callees smaller than this are always inlined"},
+      {"MAX_INLINE_DEPTH", 1, 15, "Maximum inlining depth at a call site"},
+      {"CALLER_MAX_SIZE", 1, 4000, "Maximum caller size to inline into"},
+      {"HOT_CALLEE_MAX_SIZE", 1, 400, "Maximum hot callee to inline"},
       // Beyond the paper: guard-head budget for partial inlining. 0 (the
       // default) disables the transform, so the legacy five-dimensional
       // space is the lo edge of this axis.
-      {"PARTIAL_MAX_HEAD_SIZE", 0, 40},
+      {"PARTIAL_MAX_HEAD_SIZE", 0, 40, "Maximum guard head to inline partially"},
   }};
   return kRanges;
 }

@@ -55,6 +55,7 @@ struct ParamRange {
   const char* name;
   int lo;
   int hi;
+  const char* description;  ///< Table 1's description column
 };
 
 /// Table 1 ranges (plus the PARTIAL_MAX_HEAD_SIZE extension), genome order.

@@ -8,26 +8,11 @@
 #include "bytecode/size_estimator.hpp"
 #include "opt/passes.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace ith::opt {
 
 namespace {
-
-std::uint64_t fnv1a_init() { return 0xcbf29ce484222325ULL; }
-
-std::uint64_t fnv1a_byte(std::uint64_t h, unsigned char b) {
-  h ^= b;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = fnv1a_byte(h, static_cast<unsigned char>(v & 0xff));
-    v >>= 8;
-  }
-  return h;
-}
 
 // Event stream bytes. Only the verdict of each consultation is hashed: the
 // *sequence* of consultations is itself a function of the program and the
@@ -315,7 +300,7 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
     std::vector<Frame> frames;
     int caller_words = 0;
     std::map<std::pair<bc::MethodId, std::int32_t>, bool> hot;
-    std::uint64_t hash = fnv1a_init();
+    std::uint64_t hash = kFnv1aBasis;
   };
 
   // Three-valued verdict: refuse / inline fully / splice the guard head.
@@ -344,7 +329,7 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
   };
 
   std::uint64_t events = 0;
-  std::uint64_t sig = fnv1a_init();
+  std::uint64_t sig = kFnv1aBasis;
 
   // Each method is a potential compilation root (the adaptive VM recompiles
   // any method the profiler promotes); the per-root decision trees are
@@ -428,7 +413,7 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
             continue;
           }
           if (++events > opts.max_events) {
-            std::uint64_t h = fnv1a_init();
+            std::uint64_t h = kFnv1aBasis;
             for (const int v : params.to_array()) {
               h = fnv1a_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
             }
@@ -483,7 +468,7 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
         if (++events > opts.max_events) {
           // Budget overflow: fall back to hashing the raw parameter vector.
           // Sound (distinct params stay distinct) but collapse-free.
-          std::uint64_t h = fnv1a_init();
+          std::uint64_t h = kFnv1aBasis;
           for (const int v : params.to_array()) {
             h = fnv1a_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
           }

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "support/error.hpp"
+#include "support/record_file.hpp"
 
 namespace ith::svc {
 
@@ -53,7 +54,7 @@ void EvalDaemon::start() {
     // A stale tmp from a crashed save is swept even if no published
     // snapshot exists yet (load_eval_cache would sweep it too, but only
     // when the published file is there to load).
-    tuner::remove_stale_eval_cache_tmp(config_.snapshot_path);
+    remove_stale_tmp(config_.snapshot_path);
     if (std::ifstream(config_.snapshot_path).good()) {
       try {
         import_snapshot(tuner::load_eval_cache(config_.snapshot_path));

@@ -5,7 +5,8 @@
 #include <cerrno>
 #include <cstring>
 
-#include "support/error.hpp"
+#include "support/byte_codec.hpp"
+#include "support/hash.hpp"
 #include "tuner/eval_cache.hpp"
 
 namespace ith::svc {
@@ -13,6 +14,8 @@ namespace ith::svc {
 namespace {
 
 constexpr char kMagic[8] = {'I', 'T', 'H', 'S', 'V', 'P', '1', '\0'};
+/// Malformed payloads fail as "service frame truncated".
+constexpr const char* kPayloadLabel = "service frame";
 
 /// Frames larger than this are a protocol error, not an allocation: a
 /// corrupt size field must fail cleanly. Generous — the largest legitimate
@@ -90,15 +93,6 @@ const char* msg_type_name(MsgType t) {
   return "?";
 }
 
-std::uint64_t frame_checksum(const std::string& payload) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : payload) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 ReadStatus read_frame(int fd, Frame* out, std::string* error) {
   const auto fail = [&](const char* what) {
     if (error != nullptr) *error = what;
@@ -137,7 +131,7 @@ ReadStatus read_frame(int fd, Frame* out, std::string* error) {
       return fail("torn frame payload");
     }
   }
-  if (frame_checksum(payload) != header.checksum) return fail("frame checksum mismatch");
+  if (fnv1a(payload) != header.checksum) return fail("frame checksum mismatch");
 
   out->type = static_cast<MsgType>(header.type);
   out->payload = std::move(payload);
@@ -150,48 +144,15 @@ bool write_frame(int fd, MsgType type, const std::string& payload) {
   header.type = static_cast<std::uint32_t>(type);
   header.reserved = 0;
   header.size = payload.size();
-  header.checksum = frame_checksum(payload);
+  header.checksum = fnv1a(payload);
   if (!write_all(fd, &header, sizeof header)) return false;
   return payload.empty() || write_all(fd, payload.data(), payload.size());
-}
-
-// --- payload codec -------------------------------------------------------
-
-void PayloadWriter::u64(std::uint64_t v) {
-  buf_.append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-void PayloadWriter::str(const std::string& s) {
-  u64(s.size());
-  buf_.append(s);
-}
-
-std::uint64_t PayloadReader::u64() {
-  if (buf_.size() - pos_ < sizeof(std::uint64_t)) throw Error("service frame truncated");
-  std::uint64_t v = 0;
-  std::memcpy(&v, buf_.data() + pos_, sizeof v);
-  pos_ += sizeof v;
-  return v;
-}
-
-std::string PayloadReader::str() {
-  const std::uint64_t n = u64();
-  if (n > buf_.size() - pos_) throw Error("service frame truncated");
-  std::string s(buf_.data() + pos_, n);
-  pos_ += n;
-  return s;
-}
-
-std::string PayloadReader::rest() {
-  std::string s(buf_.data() + pos_, buf_.size() - pos_);
-  pos_ = buf_.size();
-  return s;
 }
 
 // --- message payloads ----------------------------------------------------
 
 std::string encode_hello(const HelloMsg& m) {
-  PayloadWriter w;
+  ByteWriter w;
   w.u64(m.fingerprint);
   w.u64(m.client_id);
   w.str(m.name);
@@ -199,7 +160,7 @@ std::string encode_hello(const HelloMsg& m) {
 }
 
 HelloMsg decode_hello(const std::string& payload) {
-  PayloadReader r(payload);
+  ByteReader r(payload, kPayloadLabel);
   HelloMsg m;
   m.fingerprint = r.u64();
   m.client_id = r.u64();
@@ -208,14 +169,14 @@ HelloMsg decode_hello(const std::string& payload) {
 }
 
 std::string encode_results_msg(const ResultsMsg& m) {
-  PayloadWriter w;
+  ByteWriter w;
   w.u64(m.signature);
   w.u64(m.lease_id);
   return w.bytes() + tuner::encode_results(m.results);
 }
 
 ResultsMsg decode_results_msg(const std::string& payload) {
-  PayloadReader r(payload);
+  ByteReader r(payload, kPayloadLabel);
   ResultsMsg m;
   m.signature = r.u64();
   m.lease_id = r.u64();
@@ -224,32 +185,32 @@ ResultsMsg decode_results_msg(const std::string& payload) {
 }
 
 std::string encode_u64(std::uint64_t v) {
-  PayloadWriter w;
+  ByteWriter w;
   w.u64(v);
   return w.bytes();
 }
 
 std::uint64_t decode_u64(const std::string& payload) {
-  PayloadReader r(payload);
+  ByteReader r(payload, kPayloadLabel);
   return r.u64();
 }
 
 std::string encode_u64_pair(std::uint64_t a, std::uint64_t b) {
-  PayloadWriter w;
+  ByteWriter w;
   w.u64(a);
   w.u64(b);
   return w.bytes();
 }
 
 std::pair<std::uint64_t, std::uint64_t> decode_u64_pair(const std::string& payload) {
-  PayloadReader r(payload);
+  ByteReader r(payload, kPayloadLabel);
   const std::uint64_t a = r.u64();
   const std::uint64_t b = r.u64();
   return {a, b};
 }
 
 std::string encode_counters(const std::vector<std::pair<std::string, std::uint64_t>>& counters) {
-  PayloadWriter w;
+  ByteWriter w;
   w.u64(counters.size());
   for (const auto& [name, value] : counters) {
     w.str(name);
@@ -259,10 +220,9 @@ std::string encode_counters(const std::vector<std::pair<std::string, std::uint64
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> decode_counters(const std::string& payload) {
-  PayloadReader r(payload);
+  ByteReader r(payload, kPayloadLabel);
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::uint64_t i = 0, n = r.count(r.u64()); i < n; ++i) {
     std::string name = r.str();
     const std::uint64_t value = r.u64();
     counters.emplace_back(std::move(name), value);

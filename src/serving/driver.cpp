@@ -6,6 +6,7 @@
 #include "ga/ga.hpp"
 #include "serving/workloads.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/thread_pool.hpp"
 #include "tuner/parameter_space.hpp"
 #include "tuner/tuner.hpp"
@@ -140,9 +141,9 @@ WorkloadServeReport serve_workload(const std::string& name, const ServingConfig&
   std::vector<Request> requests;
   requests.reserve(config.requests);
   {
-    RequestStream stream{Pcg32(config.seed, resilience::mix_keys(0xa221, resilience::hash_string(name))),
+    RequestStream stream{Pcg32(config.seed, resilience::mix_keys(0xa221, fnv1a(name))),
                          config.keyspace};
-    Pcg32 gaps(config.seed, resilience::mix_keys(0x9a95, resilience::hash_string(name)));
+    Pcg32 gaps(config.seed, resilience::mix_keys(0x9a95, fnv1a(name)));
     const std::uint32_t g = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(report.mean_gap, 0x7fffffffULL));
     std::uint64_t now = 0;
@@ -161,7 +162,7 @@ WorkloadServeReport serve_workload(const std::string& name, const ServingConfig&
     opts.budget = config.request_budget;
     opts.faults = config.faults;
     opts.fault_key = resilience::mix_keys(config.fault_seed,
-                                          resilience::mix_keys(resilience::hash_string(name),
+                                          resilience::mix_keys(fnv1a(name),
                                                                static_cast<std::uint64_t>(i)));
     opts.obs = obs;
     fleet.instances.push_back(std::make_unique<ServerInstance>(serve_wl.program, config.machine,

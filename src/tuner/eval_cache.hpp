@@ -2,9 +2,9 @@
 // SuiteEvaluator's signature->results map plus the quarantine) to a single
 // binary file, so a later tuning run against the same evaluator
 // configuration starts warm and skips every suite execution it has already
-// paid for. Format "ITHEVC1": 8-byte magic, payload size, FNV-1a checksum,
-// payload — the same tamper-evident envelope (and tmp+rename atomic
-// publish) as the GA checkpoint in resilience/checkpoint.hpp.
+// paid for. Format "ITHEVC1" is a support/record_file.hpp record, which owns
+// the envelope (magic, size, FNV-1a checksum), the byte codec and the
+// tmp+rename atomic publish.
 //
 // The configuration fingerprint inside the snapshot is what makes reuse
 // safe: SuiteEvaluator::restore() refuses a snapshot whose fingerprint does
@@ -19,24 +19,15 @@
 
 namespace ith::tuner {
 
-/// Writes the snapshot to `path` atomically (tmp file + rename): readers see
-/// the old cache or the new one, never a torn file. Throws ith::Error on I/O
-/// failure.
+/// Writes the snapshot to `path` atomically. Throws ith::Error on I/O failure.
 void save_eval_cache(const std::string& path, const EvalCacheSnapshot& snap);
 
-/// Loads and validates a cache file. Throws ith::Error with a distinct
-/// message for each failure mode: unopenable file, bad magic, truncation,
-/// trailing bytes, checksum mismatch. Fingerprint compatibility is *not*
-/// checked here — that is SuiteEvaluator::restore()'s job, against the live
-/// configuration. A stale `path + ".tmp"` sibling (a partially written save
-/// abandoned by a crash) is removed first — rename() already guarantees the
-/// published file is whole, so the tmp is garbage by construction.
+/// Loads and validates a cache file, throwing ith::Error with a distinct
+/// message per failure mode (see read_record_file). Fingerprint compatibility
+/// is *not* checked here — that is SuiteEvaluator::restore()'s job, against
+/// the live configuration. A stale tmp sibling left by a crashed save is
+/// swept first (remove_stale_tmp).
 EvalCacheSnapshot load_eval_cache(const std::string& path);
-
-/// Removes a stale `path + ".tmp"` left behind by a save that died between
-/// write and rename. Returns true when one existed. load_eval_cache() calls
-/// this itself; exposed so daemons can sweep before their first save too.
-bool remove_stale_eval_cache_tmp(const std::string& path);
 
 /// Wire encoding of one suite-run result vector (count + per-result
 /// fields) — byte-identical to how snapshot entries embed results, and the

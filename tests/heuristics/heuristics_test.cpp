@@ -1,5 +1,7 @@
 // Tests for the paper's heuristic (Figures 3 and 4), the parameter space
 // (Table 1), and the knapsack-oracle comparator.
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "bytecode/size_estimator.hpp"
@@ -90,6 +92,15 @@ TEST(InlineParams, RangesMatchPaperTable1) {
   EXPECT_EQ(r[3].hi, 4000);
   EXPECT_STREQ(r[4].name, "HOT_CALLEE_MAX_SIZE");
   EXPECT_EQ(r[4].hi, 400);
+}
+
+// table4_tuned_params prints one Table 1 row per range: a range added
+// without a description would print garbage or abort.
+TEST(InlineParams, EveryRangeHasADescription) {
+  for (const auto& r : param_ranges()) {
+    ASSERT_NE(r.description, nullptr) << r.name;
+    EXPECT_GT(std::strlen(r.description), 0u) << r.name;
+  }
 }
 
 TEST(InlineParams, SearchSpaceIsIntractablyLarge) {

@@ -2,6 +2,7 @@
 // injection, checkpoint file integrity, and sink fault tolerance.
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "resilience/guard.hpp"
 #include "runtime/machine.hpp"
 #include "support/error.hpp"
+#include "testing.hpp"
 #include "workloads/suite.hpp"
 
 namespace ith {
@@ -210,12 +212,93 @@ resilience::GaCheckpoint sample_checkpoint() {
 class CheckpointFile : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "resilience_cp_test.bin";
+    path_ = test::per_test_path("resilience_cp_test");
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
+  std::string slurp() const {
+    std::ifstream in(path_, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  }
   std::string path_;
 };
+
+// Golden ITHGACP1 bytes, written by the checkpoint code before it moved onto
+// support/record_file: old checkpoints must keep loading, and new saves must
+// stay byte-identical.
+resilience::GaCheckpoint golden_checkpoint() {
+  resilience::GaCheckpoint cp;
+  cp.fingerprint = 0x1122334455667788ULL;
+  cp.generation = 3;
+  cp.rng_state = 0xdeadbeefULL;
+  cp.rng_inc = 0x1bULL;
+  cp.evaluations = 40;
+  cp.cache_hits = 7;
+  cp.best_ever = 1.25;
+  cp.best_genome = {1, 2, 3};
+  cp.stale = 1;
+  cp.population = {{1, 2, 3}, {4, 5, 6}};
+  cp.fitness = {1.25, 0.5};
+  cp.cache = {{{1, 2, 3}, 1.25}};
+  ga::GenerationStats gs;
+  gs.generation = 3;
+  gs.best = 1.25;
+  gs.mean = 0.875;
+  gs.worst = 0.5;
+  gs.diversity = 1.0;
+  gs.best_genome = {1, 2, 3};
+  cp.history = {gs};
+  cp.quarantine = {{9, -1}};
+  return cp;
+}
+
+const char* const kGoldenCheckpointHex =
+    "495448474143503160010000000000003011eae5acbbfe808877665544332211"
+    "0300000000000000efbeadde000000001b000000000000002800000000000000"
+    "0700000000000000000000000000f43f03000000000000000100000000000000"
+    "0200000000000000030000000000000001000000000000000200000000000000"
+    "0300000000000000010000000000000002000000000000000300000000000000"
+    "0300000000000000040000000000000005000000000000000600000000000000"
+    "0200000000000000000000000000f43f000000000000e03f0100000000000000"
+    "0300000000000000010000000000000002000000000000000300000000000000"
+    "000000000000f43f01000000000000000300000000000000000000000000f43f"
+    "000000000000ec3f000000000000e03f000000000000f03f0300000000000000"
+    "0100000000000000020000000000000003000000000000000100000000000000"
+    "02000000000000000900000000000000ffffffffffffffff";
+
+TEST_F(CheckpointFile, SaveReproducesGoldenBytes) {
+  resilience::save_checkpoint(path_, golden_checkpoint());
+  EXPECT_EQ(slurp(), test::from_hex(kGoldenCheckpointHex));
+}
+
+TEST_F(CheckpointFile, GoldenLoadsFieldForField) {
+  {
+    std::ofstream out(path_, std::ios::binary);
+    out << test::from_hex(kGoldenCheckpointHex);
+  }
+  const resilience::GaCheckpoint want = golden_checkpoint();
+  const resilience::GaCheckpoint got = resilience::load_checkpoint(path_);
+  EXPECT_EQ(got.fingerprint, want.fingerprint);
+  EXPECT_EQ(got.generation, want.generation);
+  EXPECT_EQ(got.rng_state, want.rng_state);
+  EXPECT_EQ(got.rng_inc, want.rng_inc);
+  EXPECT_EQ(got.evaluations, want.evaluations);
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.best_ever, want.best_ever);
+  EXPECT_EQ(got.best_genome, want.best_genome);
+  EXPECT_EQ(got.stale, want.stale);
+  EXPECT_EQ(got.population, want.population);
+  EXPECT_EQ(got.fitness, want.fitness);
+  EXPECT_EQ(got.cache, want.cache);
+  EXPECT_EQ(got.quarantine, want.quarantine);
+  ASSERT_EQ(got.history.size(), 1u);
+  EXPECT_EQ(got.history[0].generation, 3);
+  EXPECT_EQ(got.history[0].best, 1.25);
+  EXPECT_EQ(got.history[0].mean, 0.875);
+  EXPECT_EQ(got.history[0].worst, 0.5);
+  EXPECT_EQ(got.history[0].diversity, 1.0);
+  EXPECT_EQ(got.history[0].best_genome, want.best_genome);
+}
 
 TEST_F(CheckpointFile, Roundtrip) {
   const resilience::GaCheckpoint cp = sample_checkpoint();

@@ -5,8 +5,10 @@
 // in the middle of fused windows.
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,13 +26,18 @@
 namespace ith {
 namespace {
 
-rt::PredecodedBody predecode_method(const bc::Program& prog, const std::string& method,
-                                    rt::FusionPolicy policy, rt::FusionStats* stats = nullptr,
-                                    rt::Tier tier = rt::Tier::kOpt) {
-  static test::IdentitySource* leak = nullptr;  // bodies must outlive the predecode
-  leak = new test::IdentitySource(prog, tier);
-  const rt::CompiledMethod& cm = leak->invoke(prog.find_method(method));
-  return rt::predecode(cm, rt::pentium4_model(), policy, stats);
+/// A predecoded body together with the code source that owns the
+/// CompiledMethod its `cm` points into.
+struct PredecodedMethod : rt::PredecodedBody {
+  std::unique_ptr<test::IdentitySource> source;
+};
+
+PredecodedMethod predecode_method(const bc::Program& prog, const std::string& method,
+                                  rt::FusionPolicy policy, rt::FusionStats* stats = nullptr,
+                                  rt::Tier tier = rt::Tier::kOpt) {
+  auto source = std::make_unique<test::IdentitySource>(prog, tier);
+  const rt::CompiledMethod& cm = source->invoke(prog.find_method(method));
+  return {rt::predecode(cm, rt::pentium4_model(), policy, stats), std::move(source)};
 }
 
 // --- satellite: the 40-byte layout promise, checked at runtime too so a
@@ -85,7 +92,7 @@ TEST(Fusion, RewritesHeadKeepsInterior) {
   // in the side-pool record, interiors untouched.
   const bc::Program prog = test::make_loop_program(10);
   rt::FusionStats stats;
-  const rt::PredecodedBody pb =
+  const PredecodedMethod pb =
       predecode_method(prog, "square", rt::FusionPolicy::kAll, &stats);
   ASSERT_GE(pb.code.size(), 4u);
   EXPECT_TRUE(pb.fused);
@@ -115,7 +122,7 @@ TEST(Fusion, LoopGuardUsesLongestPattern) {
   // win over the embedded cmplt+jz pair.
   const bc::Program prog = test::make_loop_program(10);
   rt::FusionStats stats;
-  const rt::PredecodedBody pb = predecode_method(prog, "main", rt::FusionPolicy::kAll, &stats);
+  const PredecodedMethod pb = predecode_method(prog, "main", rt::FusionPolicy::kAll, &stats);
   bool saw_guard = false;
   for (const rt::PredecodedInsn& pi : pb.code) {
     EXPECT_NE(pi.xop, rt::XOp::kFCmpLtJz) << "pair rule fired inside the guard window";
@@ -157,7 +164,7 @@ TEST(Fusion, CallRetMarksCallerReturn) {
   pb.method("main", 0, 0).const_(9).call("f2", 1).halt();
   pb.entry("main");
   const bc::Program prog = pb.build();
-  const rt::PredecodedBody f2 = predecode_method(prog, "f2", rt::FusionPolicy::kAll);
+  const PredecodedMethod f2 = predecode_method(prog, "f2", rt::FusionPolicy::kAll);
   ASSERT_EQ(f2.code.size(), 3u);
   EXPECT_EQ(f2.code[1].xop, rt::XOp::kCall);
   EXPECT_EQ(f2.code[2].xop, rt::XOp::kFRetChained);
@@ -263,7 +270,7 @@ TEST(Fusion, IncLocalCapturesTheCountedLoopIncrement) {
   pbuild.entry("main");
   const bc::Program prog = pbuild.build();
   rt::FusionStats stats;
-  const rt::PredecodedBody pb = predecode_method(prog, "main", rt::FusionPolicy::kAll, &stats);
+  const PredecodedMethod pb = predecode_method(prog, "main", rt::FusionPolicy::kAll, &stats);
   const rt::PredecodedInsn& head = pb.code[2];
   EXPECT_EQ(head.xop, rt::XOp::kFIncLocal);
   EXPECT_EQ(head.fuse_len, 4);
@@ -294,7 +301,7 @@ TEST(Fusion, IncLocalRequiresTheSameSlot) {
   m.load(1).halt();
   pbuild.entry("main");
   const bc::Program prog = pbuild.build();
-  const rt::PredecodedBody pb = predecode_method(prog, "main", rt::FusionPolicy::kAll);
+  const PredecodedMethod pb = predecode_method(prog, "main", rt::FusionPolicy::kAll);
   const rt::PredecodedInsn& head = pb.code[2];
   EXPECT_EQ(head.xop, rt::XOp::kFLocAddK) << "same-slot miss must fall to loc_add_k";
   EXPECT_EQ(head.a, 0) << "source slot";
@@ -319,7 +326,7 @@ TEST(Fusion, PoolOverflowFallsBackToPlainForms) {
   pbuild.entry("main");
   const bc::Program prog = pbuild.build();
   rt::FusionStats stats;
-  const rt::PredecodedBody pb = predecode_method(prog, "main", rt::FusionPolicy::kAll, &stats);
+  const PredecodedMethod pb = predecode_method(prog, "main", rt::FusionPolicy::kAll, &stats);
   EXPECT_EQ(pb.pool.size(), rt::kMaxFusedWindowsPerBody);
   EXPECT_EQ(stats.windows_imm, rt::kMaxFusedWindowsPerBody);
   EXPECT_GE(stats.pool_overflows, 2u);

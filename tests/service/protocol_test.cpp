@@ -15,6 +15,7 @@
 #include "resilience/budget.hpp"
 #include "service/protocol.hpp"
 #include "support/error.hpp"
+#include "testing.hpp"
 
 namespace ith {
 namespace {
@@ -167,6 +168,78 @@ TEST_F(SocketPair, TimeoutMidPayloadIsError) {
   EXPECT_NE(error.find("timeout"), std::string::npos) << error;
 }
 
+// Golden ITHSVP1 stream (a hello frame, then an eval-publish frame), written
+// by the protocol code before it moved onto the shared support/ hash and
+// codec: the wire bytes must not move.
+const char* const kGoldenFramesHex =
+    "495448535650310001000000000000001e000000000000006603a6a24c0ee2a0"
+    "efcdab000000000007000000000000000600000000000000676f6c64656e4954"
+    "485356503100070000000000000062000000000000007d0316a0b33b4eba4200"
+    "0000000000000300000000000000010000000000000002000000000000006462"
+    "e803000000000000b004000000000000c8000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000100000000000000";
+
+svc::HelloMsg golden_hello() {
+  svc::HelloMsg h;
+  h.fingerprint = 0xabcdef;
+  h.client_id = 7;
+  h.name = "golden";
+  return h;
+}
+
+svc::ResultsMsg golden_publish() {
+  svc::ResultsMsg m;
+  m.signature = 0x42;
+  m.lease_id = 3;
+  tuner::BenchmarkResult ok;
+  ok.name = "db";
+  ok.running_cycles = 1000;
+  ok.total_cycles = 1200;
+  ok.compile_cycles = 200;
+  m.results = {ok};
+  return m;
+}
+
+TEST_F(SocketPair, WriteFrameReproducesGoldenBytes) {
+  ASSERT_TRUE(svc::write_frame(a(), svc::MsgType::kHello, svc::encode_hello(golden_hello())));
+  ASSERT_TRUE(svc::write_frame(a(), svc::MsgType::kEvalPublish,
+                               svc::encode_results_msg(golden_publish())));
+  close_a();
+  std::string stream;
+  char buf[512];
+  for (ssize_t n; (n = ::recv(b(), buf, sizeof buf, 0)) > 0;) {
+    stream.append(buf, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(stream, test::from_hex(kGoldenFramesHex));
+}
+
+TEST_F(SocketPair, GoldenFramesDecodeFieldForField) {
+  const std::string stream = test::from_hex(kGoldenFramesHex);
+  ASSERT_EQ(::send(a(), stream.data(), stream.size(), 0), static_cast<ssize_t>(stream.size()));
+  svc::Frame hello;
+  ASSERT_EQ(svc::read_frame(b(), &hello), svc::ReadStatus::kOk);
+  EXPECT_EQ(hello.type, svc::MsgType::kHello);
+  const svc::HelloMsg h = svc::decode_hello(hello.payload);
+  EXPECT_EQ(h.fingerprint, golden_hello().fingerprint);
+  EXPECT_EQ(h.client_id, golden_hello().client_id);
+  EXPECT_EQ(h.name, golden_hello().name);
+
+  svc::Frame publish;
+  ASSERT_EQ(svc::read_frame(b(), &publish), svc::ReadStatus::kOk);
+  EXPECT_EQ(publish.type, svc::MsgType::kEvalPublish);
+  const svc::ResultsMsg got = svc::decode_results_msg(publish.payload);
+  const svc::ResultsMsg want = golden_publish();
+  EXPECT_EQ(got.signature, want.signature);
+  EXPECT_EQ(got.lease_id, want.lease_id);
+  ASSERT_EQ(got.results.size(), 1u);
+  EXPECT_EQ(got.results[0].name, "db");
+  EXPECT_EQ(got.results[0].running_cycles, 1000u);
+  EXPECT_EQ(got.results[0].total_cycles, 1200u);
+  EXPECT_EQ(got.results[0].compile_cycles, 200u);
+  EXPECT_TRUE(got.results[0].outcome.ok());
+  EXPECT_EQ(got.results[0].attempts, 1);
+}
+
 TEST(Protocol, HelloRoundtrip) {
   svc::HelloMsg msg;
   msg.fingerprint = 0xfeedfacecafebeefULL;
@@ -220,6 +293,12 @@ TEST(Protocol, TruncatedPayloadThrows) {
   const std::string whole = svc::encode_u64_pair(1, 2);
   EXPECT_THROW(svc::decode_u64_pair(whole.substr(0, 12)), Error);
   EXPECT_THROW(svc::decode_hello(std::string("\x01", 1)), Error);
+  try {
+    svc::decode_u64(whole.substr(0, 4));
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("service frame truncated"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

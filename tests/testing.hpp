@@ -4,6 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+
+#include <gtest/gtest.h>
 
 #include "bytecode/builder.hpp"
 #include "bytecode/program.hpp"
@@ -94,6 +97,22 @@ class IdentitySource final : public rt::CodeSource {
 };
 
 /// Runs `prog` functionally and returns its exit value.
+/// Decodes a lowercase hex string (golden byte fixtures).
+inline std::string from_hex(const std::string& hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+/// A scratch file path unique to the running test, so gtest-discovered tests
+/// running as parallel ctest processes never share a file.
+inline std::string per_test_path(const std::string& stem) {
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + stem + "_" + info->test_suite_name() + "_" + info->name() + ".bin";
+}
+
 inline std::int64_t run_exit_value(const bc::Program& prog) {
   static const rt::MachineModel machine = rt::pentium4_model();
   IdentitySource source(prog);

@@ -11,6 +11,8 @@
 
 #include "resilience/budget.hpp"
 #include "support/error.hpp"
+#include "support/record_file.hpp"
+#include "testing.hpp"
 #include "tuner/eval_cache.hpp"
 
 namespace ith {
@@ -142,7 +144,7 @@ TEST(EvalCacheMerge, FingerprintMismatchRejected) {
 class StaleTmp : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "eval_cache_merge_test.bin";
+    path_ = test::per_test_path("eval_cache_merge_test");
     std::remove(path_.c_str());
     std::remove(tmp().c_str());
   }
@@ -161,9 +163,9 @@ class StaleTmp : public ::testing::Test {
 };
 
 TEST_F(StaleTmp, SweepRemovesLeftoverAndReportsIt) {
-  EXPECT_FALSE(tuner::remove_stale_eval_cache_tmp(path_));  // nothing there
+  EXPECT_FALSE(remove_stale_tmp(path_));  // nothing there
   plant_tmp();
-  EXPECT_TRUE(tuner::remove_stale_eval_cache_tmp(path_));
+  EXPECT_TRUE(remove_stale_tmp(path_));
   EXPECT_FALSE(tmp_exists());
 }
 
@@ -177,7 +179,7 @@ TEST_F(StaleTmp, LoadSweepsStaleTmpBesidePublishedFile) {
 
 TEST_F(StaleTmp, SaveAfterSweepPublishesAtomically) {
   plant_tmp();
-  tuner::remove_stale_eval_cache_tmp(path_);
+  remove_stale_tmp(path_);
   const tuner::EvalCacheSnapshot snap =
       snapshot_with({{1, ok_result("compress", 10)}}, {5});
   tuner::save_eval_cache(path_, snap);

@@ -14,6 +14,7 @@
 #include "heuristics/inline_params.hpp"
 #include "resilience/budget.hpp"
 #include "support/error.hpp"
+#include "testing.hpp"
 #include "tuner/eval_cache.hpp"
 #include "tuner/evaluator.hpp"
 #include "workloads/suite.hpp"
@@ -58,7 +59,7 @@ tuner::EvalCacheSnapshot sample_snapshot() {
 class EvalCacheFile : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "eval_cache_test.bin";
+    path_ = test::per_test_path("eval_cache_test");
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -82,11 +83,7 @@ class EvalCacheFile : public ::testing::Test {
   std::string path_;
 };
 
-TEST_F(EvalCacheFile, Roundtrip) {
-  const tuner::EvalCacheSnapshot snap = sample_snapshot();
-  tuner::save_eval_cache(path_, snap);
-  const tuner::EvalCacheSnapshot got = tuner::load_eval_cache(path_);
-
+void expect_snapshot_eq(const tuner::EvalCacheSnapshot& got, const tuner::EvalCacheSnapshot& snap) {
   EXPECT_EQ(got.fingerprint, snap.fingerprint);
   EXPECT_EQ(got.quarantined, snap.quarantined);
   ASSERT_EQ(got.entries.size(), snap.entries.size());
@@ -107,6 +104,54 @@ TEST_F(EvalCacheFile, Roundtrip) {
       EXPECT_EQ(have.attempts, want.attempts);
     }
   }
+}
+
+TEST_F(EvalCacheFile, Roundtrip) {
+  const tuner::EvalCacheSnapshot snap = sample_snapshot();
+  tuner::save_eval_cache(path_, snap);
+  expect_snapshot_eq(tuner::load_eval_cache(path_), snap);
+}
+
+// Golden ITHEVC1 bytes, written by the snapshot code before it moved onto
+// support/record_file: old snapshots must keep loading, and new saves must
+// stay byte-identical.
+tuner::EvalCacheSnapshot golden_snapshot() {
+  tuner::EvalCacheSnapshot snap;
+  snap.fingerprint = 0xfeedfacecafef00dULL;
+  tuner::BenchmarkResult ok;
+  ok.name = "db";
+  ok.running_cycles = 1000;
+  ok.total_cycles = 1200;
+  ok.compile_cycles = 200;
+  tuner::BenchmarkResult bad;
+  bad.name = "jess";
+  bad.outcome.kind = resilience::OutcomeKind::kBudgetExceeded;
+  bad.outcome.budget = resilience::BudgetKind::kSimCycles;
+  bad.outcome.detail = "sim";
+  bad.attempts = 2;
+  snap.entries = {{0x42, {ok, bad}}};
+  snap.quarantined = {0x99};
+  return snap;
+}
+
+const char* const kGoldenSnapshotHex =
+    "4954484556433100c900000000000000dbc4e193f2aa9cb50df0fecacefaedfe"
+    "0100000000000000420000000000000002000000000000000200000000000000"
+    "6462e803000000000000b004000000000000c800000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000010000000000"
+    "000004000000000000006a657373000000000000000000000000000000000000"
+    "0000000000000100000000000000010000000000000000000000000000000300"
+    "00000000000073696d0200000000000000010000000000000099000000000000"
+    "00";
+
+TEST_F(EvalCacheFile, SaveReproducesGoldenBytes) {
+  tuner::save_eval_cache(path_, golden_snapshot());
+  EXPECT_EQ(slurp(), test::from_hex(kGoldenSnapshotHex));
+}
+
+TEST_F(EvalCacheFile, GoldenLoadsFieldForField) {
+  dump(test::from_hex(kGoldenSnapshotHex));
+  expect_snapshot_eq(tuner::load_eval_cache(path_), golden_snapshot());
 }
 
 TEST_F(EvalCacheFile, MissingFileRejected) { expect_load_error("cannot open"); }

@@ -9,6 +9,7 @@
 #include "heuristics/inline_params.hpp"
 #include "resilience/budget.hpp"
 #include "resilience/fault.hpp"
+#include "support/hash.hpp"
 #include "tuner/evaluator.hpp"
 #include "tuner/fitness.hpp"
 #include "workloads/suite.hpp"
@@ -85,9 +86,9 @@ TEST(GuardedEvaluation, TransientFaultIsRetriedToSuccess) {
   // the fault plan, so a fault-free evaluator can compute it up front.
   const std::uint64_t salt = make_evaluator(nullptr, /*retries=*/0).signature_of(params);
   const std::uint64_t key0 =
-      resilience::mix_keys(salt, resilience::mix_keys(resilience::hash_string("db"), 0));
+      resilience::mix_keys(salt, resilience::mix_keys(fnv1a("db"), 0));
   const std::uint64_t key1 =
-      resilience::mix_keys(salt, resilience::mix_keys(resilience::hash_string("db"), 1));
+      resilience::mix_keys(salt, resilience::mix_keys(fnv1a("db"), 1));
 
   resilience::FaultPlan plan;
   plan.rate = 0.5;
