@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "bytecode/size_estimator.hpp"
@@ -26,119 +25,12 @@ constexpr unsigned char kForkCold = 0xB0;
 constexpr unsigned char kForkHot = 0xB1;
 constexpr unsigned char kPathEnd = 0x55;
 
-/// Lazily-memoized per-method facts shared by the replay and the signature
-/// exploration. Everything here is a pure function of the program.
-class ProgramFacts {
- public:
-  explicit ProgramFacts(const bc::Program& prog)
-      : prog_(prog),
-        inlinable_(prog.num_methods(), -1),
-        prologue_(prog.num_methods(), -1),
-        est_size_(prog.num_methods(), -1),
-        body_words_(prog.num_methods(), -1),
-        partial_known_(prog.num_methods(), 0),
-        partial_(prog.num_methods()) {}
-
-  bool inlinable(bc::MethodId m) {
-    signed char& memo = inlinable_[static_cast<std::size_t>(m)];
-    if (memo < 0) memo = Inliner::is_inlinable(prog_, m) ? 1 : 0;
-    return memo == 1;
-  }
-
-  /// !non_arg_locals_definitely_assigned: the splice emits a zeroing
-  /// prologue for the callee's non-argument locals.
-  bool needs_prologue(bc::MethodId m) {
-    signed char& memo = prologue_[static_cast<std::size_t>(m)];
-    if (memo < 0) memo = non_arg_locals_definitely_assigned(prog_.method(m)) ? 0 : 1;
-    return memo == 1;
-  }
-
-  /// estimated_method_size of the *original* method (the InlineRequest's
-  /// callee_size and the initial caller_size).
-  int est_size(bc::MethodId m) {
-    int& memo = est_size_[static_cast<std::size_t>(m)];
-    if (memo < 0) memo = bc::estimated_method_size(prog_.method(m));
-    return memo;
-  }
-
-  /// Estimated words of the callee body as spliced: operand rewrites keep
-  /// the opcode (words depend on the opcode alone) and each kRet becomes a
-  /// kJmp to the landing pc.
-  int body_words(bc::MethodId m) {
-    int& memo = body_words_[static_cast<std::size_t>(m)];
-    if (memo < 0) {
-      int words = 0;
-      for (const bc::Instruction& insn : prog_.method(m).code()) {
-        words += bc::estimated_words(
-            insn.op == bc::Op::kRet ? bc::Instruction{bc::Op::kJmp, 0, 0} : insn);
-      }
-      memo = words;
-    }
-    return memo;
-  }
-
-  /// Instruction count and estimated words of the marshalling stores plus
-  /// the (conditional) zeroing prologue the splice prepends.
-  std::pair<int, int> preamble(bc::MethodId callee, int nargs) {
-    const int zeroed =
-        needs_prologue(callee) ? std::max(0, prog_.method(callee).num_locals() - nargs) : 0;
-    const int store_w = bc::estimated_words(bc::Instruction{bc::Op::kStore, 0, 0});
-    const int const_w = bc::estimated_words(bc::Instruction{bc::Op::kConst, 0, 0});
-    return {nargs + 2 * zeroed, nargs * store_w + zeroed * (const_w + store_w)};
-  }
-
-  int call_words() {
-    return bc::estimated_words(bc::Instruction{bc::Op::kCall, 0, 0});
-  }
-
-  /// Guard-head shape of the callee (memoized partial_inline_shape).
-  const std::optional<PartialShape>& partial(bc::MethodId m) {
-    const auto i = static_cast<std::size_t>(m);
-    if (partial_known_[i] == 0) {
-      partial_[i] = partial_inline_shape(prog_.method(m));
-      partial_known_[i] = 1;
-    }
-    return partial_[i];
-  }
-
-  /// The head_size the real inliner offers the heuristic: guard-head words
-  /// or -1 for an unsplittable callee.
-  int head_size(bc::MethodId m) {
-    const std::optional<PartialShape>& s = partial(m);
-    return s ? s->head_words : -1;
-  }
-
-  /// Estimated-words growth of a partial splice: marshal stores plus the
-  /// rerouted head plus the stub's reloads; the residual call replaces the
-  /// original one exactly, so call words cancel.
-  int partial_delta(bc::MethodId callee, int nargs) {
-    const int store_w = bc::estimated_words(bc::Instruction{bc::Op::kStore, 0, 0});
-    const int load_w = bc::estimated_words(bc::Instruction{bc::Op::kLoad, 0, 0});
-    return nargs * (store_w + load_w) + partial(callee)->head_words;
-  }
-
-  /// Instruction-count growth of a partial splice (the scan-cursor
-  /// advance up to, not including, the residual call).
-  int partial_insns_before_residual(bc::MethodId callee, int nargs) {
-    return 2 * nargs + partial(callee)->head_len;
-  }
-
- private:
-  const bc::Program& prog_;
-  std::vector<signed char> inlinable_;
-  std::vector<signed char> prologue_;
-  std::vector<int> est_size_;
-  std::vector<int> body_words_;
-  std::vector<signed char> partial_known_;
-  std::vector<std::optional<PartialShape>> partial_;
-};
-
 /// Structural guards exactly as Inliner::run applies them, in order: depth
 /// cap, chain recursion bound (only for instructions that *have* a chain,
 /// i.e. spliced ones), evolving-body size, callee shape. `chain` holds the
 /// methods inlined through to reach the current scan level, outermost first
 /// (empty at the root level, mirroring the null chain of original code).
-bool structurally_ok(ProgramFacts& facts, const InlineLimits& limits,
+bool structurally_ok(const ProgramFacts& facts, const InlineLimits& limits,
                      const std::vector<bc::MethodId>& chain, int depth, int caller_words,
                      bc::MethodId callee) {
   bool ok = depth < limits.hard_depth_cap;
@@ -151,18 +43,14 @@ bool structurally_ok(ProgramFacts& facts, const InlineLimits& limits,
   return ok;
 }
 
-}  // namespace
-
-DecisionProbe::DecisionProbe(const bc::Program& prog, const heur::InlineHeuristic& heuristic,
-                             SiteOracle oracle, InlineLimits limits)
-    : prog_(prog), heuristic_(heuristic), oracle_(std::move(oracle)), limits_(limits) {
-  ITH_CHECK(oracle_ != nullptr, "DecisionProbe requires a site oracle");
-}
-
-std::vector<ProbeDecision> DecisionProbe::probe_method(bc::MethodId root,
-                                                       InlineStats* stats) const {
-  ProgramFacts facts(prog_);
-  std::vector<ProbeDecision> trace;
+/// Replays Inliner::run(root) and calls `on_consult(request, decision)` for
+/// every heuristic consultation it predicts, in consultation order. Returns
+/// the InlineStats the real run would report, verdict key included.
+template <typename OnConsult>
+InlineStats replay(const ProgramFacts& facts, const heur::InlineHeuristic& heuristic,
+                   const SiteOracle& oracle, const InlineLimits& limits, bc::MethodId root,
+                   OnConsult&& on_consult) {
+  const bc::Program& prog = facts.program();
   InlineStats local;
   local.size_before_words = facts.est_size(root);
 
@@ -176,7 +64,7 @@ std::vector<ProbeDecision> DecisionProbe::probe_method(bc::MethodId root,
   std::vector<bc::MethodId> chain;
 
   const auto scan = [&](auto&& self, bc::MethodId m, int depth) -> void {
-    const bc::Method& method = prog_.method(m);
+    const bc::Method& method = prog.method(m);
     for (std::size_t j = 0; j < method.size(); ++j) {
       const bc::Instruction insn = method.code()[j];
       if (insn.op != bc::Op::kCall) {
@@ -194,7 +82,7 @@ std::vector<ProbeDecision> DecisionProbe::probe_method(bc::MethodId root,
       int cur_depth = depth;
       int pushes = 0;
       while (true) {
-        if (!structurally_ok(facts, limits_, chain, cur_depth, caller_words, callee)) {
+        if (!structurally_ok(facts, limits, chain, cur_depth, caller_words, callee)) {
           ++local.sites_refused_structural;
           ++vpc;
           break;
@@ -204,7 +92,7 @@ std::vector<ProbeDecision> DecisionProbe::probe_method(bc::MethodId root,
         // keep their (origin method, origin pc) identity, which for a body
         // instruction j of method m is simply (m, j) — and a residual call
         // inherits the original site's identity verbatim.
-        const SiteProfile profile = oracle_(m, static_cast<std::int32_t>(j));
+        const SiteProfile profile = oracle(m, static_cast<std::int32_t>(j));
         heur::InlineRequest req;
         req.caller = root;
         req.callee = callee;
@@ -215,22 +103,9 @@ std::vector<ProbeDecision> DecisionProbe::probe_method(bc::MethodId root,
         req.head_size = facts.head_size(callee);
         req.is_hot = profile.is_hot;
         req.site_count = profile.count;
-        const heur::InlineDecision decision = heuristic_.decide(req);
-
-        ProbeDecision pd;
-        pd.root = root;
-        pd.callee = callee;
-        pd.call_pc = vpc;
-        pd.depth = cur_depth;
-        pd.callee_size = req.callee_size;
-        pd.caller_size = req.caller_size;
-        pd.head_size = req.head_size;
-        pd.is_hot = req.is_hot;
-        pd.site_count = req.site_count;
-        pd.inlined = decision.inline_it;
-        pd.partial = decision.partial;
-        pd.rule = decision.rule;
-        trace.push_back(pd);
+        const heur::InlineDecision decision = heuristic.decide(req);
+        local.verdict_key = fold_verdict(local.verdict_key, callee, decision);
+        on_consult(req, decision);
 
         if (!decision.inline_it) {
           ++local.sites_refused_by_heuristic;
@@ -266,14 +141,88 @@ std::vector<ProbeDecision> DecisionProbe::probe_method(bc::MethodId root,
   scan(scan, root, 0);
 
   local.size_after_words = caller_words;
+  return local;
+}
+
+}  // namespace
+
+ProgramFacts::ProgramFacts(const bc::Program& prog)
+    : prog_(prog),
+      methods_(prog.num_methods()),
+      store_words_(bc::estimated_words(bc::Instruction{bc::Op::kStore, 0, 0})),
+      load_words_(bc::estimated_words(bc::Instruction{bc::Op::kLoad, 0, 0})),
+      const_words_(bc::estimated_words(bc::Instruction{bc::Op::kConst, 0, 0})),
+      call_words_(bc::estimated_words(bc::Instruction{bc::Op::kCall, 0, 0})) {
+  for (std::size_t i = 0; i < methods_.size(); ++i) {
+    const auto id = static_cast<bc::MethodId>(i);
+    const bc::Method& m = prog.method(id);
+    MethodFacts& f = methods_[i];
+    f.est_size = bc::estimated_method_size(m);
+    for (const bc::Instruction& insn : m.code()) {
+      f.body_words += bc::estimated_words(
+          insn.op == bc::Op::kRet ? bc::Instruction{bc::Op::kJmp, 0, 0} : insn);
+    }
+    f.inlinable = Inliner::is_inlinable(prog, id);
+    // The splice-only facts are read only after the inlinable guard passed.
+    if (f.inlinable) {
+      f.needs_prologue = !non_arg_locals_definitely_assigned(m);
+      f.partial = partial_inline_shape(m);
+    }
+  }
+}
+
+std::pair<int, int> ProgramFacts::preamble(bc::MethodId callee, int nargs) const {
+  const int zeroed =
+      at(callee).needs_prologue ? std::max(0, prog_.method(callee).num_locals() - nargs) : 0;
+  return {nargs + 2 * zeroed, nargs * store_words_ + zeroed * (const_words_ + store_words_)};
+}
+
+DecisionProbe::DecisionProbe(const ProgramFacts& facts, const heur::InlineHeuristic& heuristic,
+                             SiteOracle oracle, InlineLimits limits)
+    : facts_(facts), heuristic_(heuristic), oracle_(std::move(oracle)), limits_(limits) {
+  ITH_CHECK(oracle_ != nullptr, "DecisionProbe requires a site oracle");
+}
+
+std::vector<ProbeDecision> DecisionProbe::probe_method(bc::MethodId root,
+                                                       InlineStats* stats) const {
+  std::vector<ProbeDecision> trace;
+  const InlineStats local =
+      replay(facts_, heuristic_, oracle_, limits_, root,
+             [&](const heur::InlineRequest& req, const heur::InlineDecision& decision) {
+               ProbeDecision pd;
+               pd.root = root;
+               pd.callee = req.callee;
+               pd.call_pc = req.call_pc;
+               pd.depth = req.depth;
+               pd.callee_size = req.callee_size;
+               pd.caller_size = req.caller_size;
+               pd.head_size = req.head_size;
+               pd.is_hot = req.is_hot;
+               pd.site_count = req.site_count;
+               pd.inlined = decision.inline_it;
+               pd.partial = decision.partial;
+               pd.rule = decision.rule;
+               trace.push_back(pd);
+             });
   if (stats != nullptr) *stats = local;
   return trace;
 }
 
+std::uint64_t DecisionProbe::verdict_key(bc::MethodId root) const {
+  return replay(facts_, heuristic_, oracle_, limits_, root,
+                [](const heur::InlineRequest&, const heur::InlineDecision&) {})
+      .verdict_key;
+}
+
 SignatureResult decision_signature(const bc::Program& prog, const heur::InlineParams& params,
                                    InlineLimits limits, const SignatureOptions& opts) {
+  return decision_signature(ProgramFacts(prog), params, limits, opts);
+}
+
+SignatureResult decision_signature(const ProgramFacts& facts, const heur::InlineParams& params,
+                                   InlineLimits limits, const SignatureOptions& opts) {
+  const bc::Program& prog = facts.program();
   const heur::JikesHeuristic heuristic(params);
-  ProgramFacts facts(prog);
   SignatureResult result;
 
   // One scan level of one exploration path: scanning the original code of
@@ -330,6 +279,19 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
 
   std::uint64_t events = 0;
   std::uint64_t sig = kFnv1aBasis;
+
+  // Budget overflow: fall back to hashing the raw parameter vector. Sound
+  // (distinct params stay distinct) but collapse-free.
+  const auto overflow = [&] {
+    std::uint64_t h = kFnv1aBasis;
+    for (const int v : params.to_array()) {
+      h = fnv1a_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+    }
+    result.value = h;
+    result.exact = false;
+    result.consultations = events;
+    return result;
+  };
 
   // Each method is a potential compilation root (the adaptive VM recompiles
   // any method the profiler promotes); the per-root decision trees are
@@ -412,16 +374,7 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
             cur.frames.pop_back();
             continue;
           }
-          if (++events > opts.max_events) {
-            std::uint64_t h = kFnv1aBasis;
-            for (const int v : params.to_array()) {
-              h = fnv1a_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
-            }
-            result.value = h;
-            result.exact = false;
-            result.consultations = events;
-            return result;
-          }
+          if (++events > opts.max_events) return overflow();
           const Verdict v = consult(callee, depth, {f.origin_m, f.origin_j});
           if (!v.inline_it) {
             cur.frames.pop_back();
@@ -465,18 +418,7 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
           continue;
         }
 
-        if (++events > opts.max_events) {
-          // Budget overflow: fall back to hashing the raw parameter vector.
-          // Sound (distinct params stay distinct) but collapse-free.
-          std::uint64_t h = kFnv1aBasis;
-          for (const int v : params.to_array()) {
-            h = fnv1a_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
-          }
-          result.value = h;
-          result.exact = false;
-          result.consultations = events;
-          return result;
-        }
+        if (++events > opts.max_events) return overflow();
 
         const auto key = std::make_pair(f.method, static_cast<std::int32_t>(f.j));
         const Verdict v = consult(callee, depth, key);

@@ -17,15 +17,20 @@
 // signatures drive the optimizer to identical code at every compilation the
 // VM could ever perform, hence identical ExecStats — which is what lets the
 // SuiteEvaluator collapse behaviourally-equivalent genomes onto one cache
-// entry (see DESIGN.md "Decision-signature caching").
+// entry (see DESIGN.md "Decision-signature caching"). Hashed per method
+// instead, the same replay yields the verdict key the VM's code pool
+// matches compiled bodies on (vm/code_pool.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "bytecode/program.hpp"
 #include "heuristics/heuristic.hpp"
+#include "opt/analysis.hpp"
 #include "opt/inliner.hpp"
 
 namespace ith::opt {
@@ -47,13 +52,87 @@ struct ProbeDecision {
   const char* rule = "opaque";
 };
 
+/// Per-method facts both probes read: whether a method can be spliced, its
+/// estimated size, its spliced-body words, whether a splice needs a zeroing
+/// prologue and its guard-head shape. A pure function of the program,
+/// computed eagerly by the constructor and read-only afterwards, so one
+/// instance serves every probe over the program from any number of threads.
+/// The program must outlive the facts. Share facts by owning them next to
+/// the program, never by looking them up by the program's address: a freed
+/// program's address can be handed to the next program allocated.
+class ProgramFacts {
+ public:
+  explicit ProgramFacts(const bc::Program& prog);
+
+  const bc::Program& program() const { return prog_; }
+
+  /// Inliner::is_inlinable.
+  bool inlinable(bc::MethodId m) const { return at(m).inlinable; }
+
+  /// estimated_method_size of the *original* method (the InlineRequest's
+  /// callee_size and the initial caller_size).
+  int est_size(bc::MethodId m) const { return at(m).est_size; }
+
+  /// Estimated words of the callee body as spliced: operand rewrites keep
+  /// the opcode (words depend on the opcode alone) and each kRet becomes a
+  /// kJmp to the landing pc.
+  int body_words(bc::MethodId m) const { return at(m).body_words; }
+
+  /// The head_size the real inliner offers the heuristic: guard-head words
+  /// or -1 for an unsplittable callee. Only meaningful for inlinable methods.
+  int head_size(bc::MethodId m) const {
+    const std::optional<PartialShape>& s = at(m).partial;
+    return s ? s->head_words : -1;
+  }
+
+  /// Instruction count and estimated words of the marshalling stores plus
+  /// the (conditional) zeroing prologue the splice prepends.
+  std::pair<int, int> preamble(bc::MethodId callee, int nargs) const;
+
+  /// Estimated words of one kCall.
+  int call_words() const { return call_words_; }
+
+  /// Estimated-words growth of a partial splice: marshal stores plus the
+  /// rerouted head plus the stub's reloads; the residual call replaces the
+  /// original one exactly, so call words cancel.
+  int partial_delta(bc::MethodId callee, int nargs) const {
+    return nargs * (store_words_ + load_words_) + at(callee).partial->head_words;
+  }
+
+  /// Instruction-count growth of a partial splice (the scan-cursor advance
+  /// up to, not including, the residual call).
+  int partial_insns_before_residual(bc::MethodId callee, int nargs) const {
+    return 2 * nargs + at(callee).partial->head_len;
+  }
+
+ private:
+  struct MethodFacts {
+    bool inlinable = false;
+    /// !non_arg_locals_definitely_assigned: the splice emits a zeroing
+    /// prologue for the callee's non-argument locals (inlinable methods only).
+    bool needs_prologue = false;
+    int est_size = 0;
+    int body_words = 0;
+    std::optional<PartialShape> partial;  ///< inlinable methods only
+  };
+
+  const MethodFacts& at(bc::MethodId m) const { return methods_[static_cast<std::size_t>(m)]; }
+
+  const bc::Program& prog_;
+  std::vector<MethodFacts> methods_;
+  int store_words_ = 0;
+  int load_words_ = 0;
+  int const_words_ = 0;
+  int call_words_ = 0;
+};
+
 /// Replays Inliner::run's decision procedure under a concrete site oracle.
 class DecisionProbe {
  public:
   /// All references are non-owning and must outlive the probe. The
   /// heuristic is consulted through decide() (the same entry point the
   /// Inliner uses when tracing decisions).
-  DecisionProbe(const bc::Program& prog, const heur::InlineHeuristic& heuristic,
+  DecisionProbe(const ProgramFacts& facts, const heur::InlineHeuristic& heuristic,
                 SiteOracle oracle = cold_site, InlineLimits limits = {});
 
   /// Predicts every heuristic consultation Inliner::run(root) would make,
@@ -61,8 +140,12 @@ class DecisionProbe {
   /// real run would report. No code is produced or mutated.
   std::vector<ProbeDecision> probe_method(bc::MethodId root, InlineStats* stats = nullptr) const;
 
+  /// The InlineStats::verdict_key Inliner::run(root) would report, without
+  /// building the decision list.
+  std::uint64_t verdict_key(bc::MethodId root) const;
+
  private:
-  const bc::Program& prog_;
+  const ProgramFacts& facts_;
   const heur::InlineHeuristic& heuristic_;
   SiteOracle oracle_;
   InlineLimits limits_;
@@ -101,6 +184,10 @@ struct SignatureResult {
 /// sound collapse key across the full six-parameter space; with
 /// PARTIAL_MAX_HEAD_SIZE = 0 the byte stream is identical to the
 /// five-parameter encoding.
+SignatureResult decision_signature(const ProgramFacts& facts, const heur::InlineParams& params,
+                                   InlineLimits limits, const SignatureOptions& opts = {});
+
+/// Same, computing the program's facts for this one call.
 SignatureResult decision_signature(const bc::Program& prog, const heur::InlineParams& params,
                                    InlineLimits limits, const SignatureOptions& opts = {});
 

@@ -12,6 +12,12 @@ namespace ith::opt {
 
 SiteProfile cold_site(bc::MethodId, std::int32_t) { return SiteProfile{}; }
 
+std::uint64_t fold_verdict(std::uint64_t key, bc::MethodId callee,
+                           const heur::InlineDecision& decision) {
+  const unsigned char verdict = !decision.inline_it ? 0 : (decision.partial ? 2 : 1);
+  return fnv1a_byte(fnv1a_u64(key, static_cast<std::uint64_t>(callee)), verdict);
+}
+
 std::string format_inline_report(const bc::Program& prog, const InlineReport& report) {
   std::ostringstream os;
   for (const InlineReportEntry& e : report) {
@@ -355,6 +361,7 @@ AnnotatedMethod Inliner::run(bc::MethodId id, InlineStats* stats, InlineReport* 
     req.head_size = shape ? shape->head_words : -1;
 
     const heur::InlineDecision decision = heuristic_.decide(req);
+    local.verdict_key = fold_verdict(local.verdict_key, callee, decision);
     if (obs_ != nullptr && obs_->enabled(obs::Category::kInline)) {
       obs_->instant(obs::Category::kInline, "inline.decision", obs::Domain::kHost,
                     obs_->host_now_us(),

@@ -26,6 +26,7 @@
 #include "obs/context.hpp"
 #include "opt/analysis.hpp"
 #include "opt/annotated.hpp"
+#include "support/hash.hpp"
 
 namespace ith::opt {
 
@@ -42,8 +43,20 @@ using SiteOracle = std::function<SiteProfile(bc::MethodId origin_method, std::in
 
 SiteProfile cold_site(bc::MethodId, std::int32_t);
 
+/// Start of a verdict key (InlineStats::verdict_key).
+inline constexpr std::uint64_t kVerdictKeyBasis = kFnv1aBasis;
+
+/// Folds one heuristic consultation — its callee and its verdict (no, full
+/// or partial) — into a verdict key.
+std::uint64_t fold_verdict(std::uint64_t key, bc::MethodId callee,
+                           const heur::InlineDecision& decision);
+
 /// Outcome statistics for one method's inlining session.
 struct InlineStats {
+  /// fold_verdict over every heuristic consultation, in consultation order.
+  /// Each verdict fixes the rest of the scan, so for one root under one
+  /// program and one set of limits, equal keys mean equal inlined bodies.
+  std::uint64_t verdict_key = kVerdictKeyBasis;
   std::size_t sites_considered = 0;
   std::size_t sites_inlined = 0;
   std::size_t sites_partially_inlined = 0;   ///< guard head spliced, tail outlined
@@ -52,6 +65,8 @@ struct InlineStats {
   int max_depth_reached = 0;
   int size_before_words = 0;   ///< estimated machine words before inlining
   int size_after_words = 0;    ///< and after
+
+  friend bool operator==(const InlineStats&, const InlineStats&) = default;
 };
 
 /// One row of the structured inline report: every call site the inliner
@@ -86,6 +101,8 @@ struct InlineLimits {
   int hard_depth_cap = 20;           ///< absolute depth bound
   int max_recursive_occurrences = 1; ///< times one method may appear on a chain
   int max_body_words = 200000;       ///< give up growing a single body past this
+
+  friend bool operator==(const InlineLimits&, const InlineLimits&) = default;
 };
 
 class Inliner {

@@ -1,5 +1,7 @@
 #include "opt/passes.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <limits>
 #include <vector>
@@ -421,43 +423,41 @@ bool non_arg_locals_definitely_assigned(const bc::Method& m) {
   const auto num_args = static_cast<std::size_t>(m.num_args());
   if (num_locals == num_args) return true;  // nothing beyond the arguments
 
-  // Forward must-analysis: assigned[pc] = set of locals definitely written
-  // on every path reaching pc. Join is intersection; seed is "args only".
-  std::vector<std::vector<bool>> assigned(n);
-  auto seed = std::vector<bool>(num_locals, false);
-  for (std::size_t i = 0; i < num_args; ++i) seed[i] = true;
+  // Forward must-analysis over one bit row per pc: the locals definitely
+  // written on every path reaching pc. Join is intersection; seed is "args
+  // only". Rows only shrink, so a load that misses its local once misses it
+  // at the fixpoint too, and the visiting order cannot change the answer.
+  const std::size_t words = (num_locals + 63) / 64;
+  std::vector<std::uint64_t> assigned(n * words, 0);
+  std::vector<char> reached(n, 0);
+  const auto row = [&](std::size_t pc) { return assigned.data() + pc * words; };
+  for (std::size_t i = 0; i < num_args; ++i) assigned[i / 64] |= std::uint64_t{1} << (i % 64);
+  reached[0] = 1;
 
-  std::deque<std::size_t> worklist{0};
-  assigned[0] = seed;
-  bool ok = true;
-  while (!worklist.empty() && ok) {
-    const std::size_t pc = worklist.front();
-    worklist.pop_front();
+  std::vector<std::uint64_t> out(words);
+  std::vector<std::size_t> worklist{0};
+  while (!worklist.empty()) {
+    const std::size_t pc = worklist.back();
+    worklist.pop_back();
     const Instruction& insn = m.code()[pc];
-    std::vector<bool> out = assigned[pc];
-    switch (insn.op) {
-      case Op::kLoad:
-        if (!out[static_cast<std::size_t>(insn.a)]) ok = false;
-        break;
-      case Op::kStore:
-        out[static_cast<std::size_t>(insn.a)] = true;
-        break;
-      default:
-        break;
-    }
+    std::copy_n(row(pc), words, out.begin());
+    const auto local = static_cast<std::size_t>(insn.a);
+    if (insn.op == Op::kLoad && (out[local / 64] >> (local % 64) & 1) == 0) return false;
+    if (insn.op == Op::kStore) out[local / 64] |= std::uint64_t{1} << (local % 64);
+
     auto visit = [&](std::size_t to) {
       if (to >= n) return;
-      if (assigned[to].empty()) {
-        assigned[to] = out;
+      std::uint64_t* const to_row = row(to);
+      if (reached[to] == 0) {
+        reached[to] = 1;
+        std::copy(out.begin(), out.end(), to_row);
         worklist.push_back(to);
         return;
       }
       bool changed = false;
-      for (std::size_t i = 0; i < num_locals; ++i) {
-        if (assigned[to][i] && !out[i]) {
-          assigned[to][i] = false;
-          changed = true;
-        }
+      for (std::size_t w = 0; w < words; ++w) {
+        changed = changed || (to_row[w] & ~out[w]) != 0;
+        to_row[w] &= out[w];
       }
       if (changed) worklist.push_back(to);
     };
@@ -478,7 +478,7 @@ bool non_arg_locals_definitely_assigned(const bc::Method& m) {
         break;
     }
   }
-  return ok;
+  return true;
 }
 
 std::size_t eliminate_tail_recursion(AnnotatedMethod& am, bc::MethodId self, int num_args) {

@@ -41,6 +41,8 @@ struct OptStats {
   std::size_t unreachable_removed = 0;
   std::size_t instructions_compacted = 0;
   int iterations = 0;
+
+  friend bool operator==(const OptStats&, const OptStats&) = default;
 };
 
 /// Structured per-pass statistics for one compilation.

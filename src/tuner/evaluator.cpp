@@ -71,6 +71,15 @@ SuiteEvaluator::SuiteEvaluator(std::vector<wl::Workload> suite, EvalConfig confi
   ITH_CHECK(config_.max_retries >= 0, "max_retries must be >= 0");
   config_.vm_config.scenario = config_.scenario;
   config_.vm_config.obs = config_.obs;
+  const opt::PipelineDesc pipeline =
+      config_.vm_config.pipeline ? *config_.vm_config.pipeline
+                                 : opt::pipeline_from_options(config_.vm_config.opt_options);
+  inlines_ = pipeline.has_pass("inline");
+  for (const wl::Workload& w : suite_) {
+    facts_.push_back(std::make_unique<const opt::ProgramFacts>(w.program));
+    pools_.push_back(
+        std::make_unique<vm::CodePool>(*facts_.back(), pipeline, config_.vm_config.inline_limits));
+  }
 }
 
 std::vector<BenchmarkResult> SuiteEvaluator::run_suite(heur::InlineHeuristic& h,
@@ -86,7 +95,8 @@ std::vector<BenchmarkResult> SuiteEvaluator::run_suite(heur::InlineHeuristic& h,
                               plan->enabled(resilience::FaultSite::kCompileInflate);
   std::vector<BenchmarkResult> results;
   results.reserve(suite_.size());
-  for (const wl::Workload& w : suite_) {
+  for (std::size_t i = 0; i < suite_.size(); ++i) {
+    const wl::Workload& w = suite_[i];
     const std::uint64_t t0 = trace ? obs->host_now_us() : 0;
     BenchmarkResult br;
     br.name = w.name;
@@ -95,6 +105,7 @@ std::vector<BenchmarkResult> SuiteEvaluator::run_suite(heur::InlineHeuristic& h,
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
       vm::VmConfig cfg = config_.vm_config;
       if (!allow_faults) cfg.faults = nullptr;
+      cfg.code_pool = pools_[i].get();
       cfg.fault_key = resilience::mix_keys(
           fault_salt, resilience::mix_keys(fnv1a(w.name),
                                            static_cast<std::uint64_t>(attempt)));
@@ -162,10 +173,7 @@ SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams&
   bool exact = true;
   std::uint64_t consultations = 0;
   std::uint64_t forks = 0;
-  const opt::PipelineDesc pipeline =
-      config_.vm_config.pipeline ? *config_.vm_config.pipeline
-                                 : opt::pipeline_from_options(config_.vm_config.opt_options);
-  if (!pipeline.has_pass("inline")) {
+  if (!inlines_) {
     // Without an inline pass the heuristic is never consulted: every
     // parameter vector compiles identically, so all params share one
     // signature.
@@ -173,9 +181,9 @@ SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams&
   } else {
     opt::SignatureOptions opts;
     opts.adaptive = config_.scenario == vm::Scenario::kAdapt;
-    for (const wl::Workload& w : suite_) {
+    for (const auto& facts : facts_) {
       const opt::SignatureResult r =
-          opt::decision_signature(w.program, params, config_.vm_config.inline_limits, opts);
+          opt::decision_signature(*facts, params, config_.vm_config.inline_limits, opts);
       sig = mix_u64(sig, r.value);
       exact = exact && r.exact;
       consultations += r.consultations;
@@ -200,16 +208,8 @@ SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams&
 
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, fresh] = param_sigs_.emplace(key, sig);
-  if (fresh && obs != nullptr) {
-    bool collapsed = false;
-    for (const auto& [other_key, other_sig] : param_sigs_) {
-      if (other_sig == sig && other_key != key) {
-        collapsed = true;
-        break;
-      }
-    }
-    if (collapsed) obs->counter("sig.collapsed").add(1);
-  }
+  // A second params vector landing on a signature is a collapse.
+  if (fresh && ++sig_counts_[sig] > 1 && obs != nullptr) obs->counter("sig.collapsed").add(1);
   return it->second;
 }
 
@@ -379,9 +379,7 @@ std::size_t SuiteEvaluator::params_seen() const {
 
 std::size_t SuiteEvaluator::signatures_seen() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::set<Signature> distinct;
-  for (const auto& [key, sig] : param_sigs_) distinct.insert(sig);
-  return distinct.size();
+  return sig_counts_.size();
 }
 
 std::uint64_t SuiteEvaluator::cache_fingerprint() const {

@@ -22,6 +22,7 @@
 
 #include "heuristics/heuristic.hpp"
 #include "obs/context.hpp"
+#include "opt/decision_probe.hpp"
 #include "resilience/budget.hpp"
 #include "resilience/fault.hpp"
 #include "runtime/machine.hpp"
@@ -232,7 +233,19 @@ class SuiteEvaluator {
 
   std::vector<wl::Workload> suite_;
   EvalConfig config_;
+  /// False when the effective pipeline has no inline pass (every parameter
+  /// vector then compiles identically).
+  bool inlines_ = true;
+  /// Per suite workload, same order: the program facts every decision probe
+  /// reads, and the code pool every VM over that program shares. Immutable
+  /// facts, internally synchronized pools; both live exactly as long as
+  /// suite_, whose programs they describe.
+  std::vector<std::unique_ptr<const opt::ProgramFacts>> facts_;
+  std::vector<std::unique_ptr<vm::CodePool>> pools_;
   std::map<ParamKey, Signature> param_sigs_;  ///< level 1; guarded by mu_
+  /// Level-1 entries per signature, so collapse detection and
+  /// signatures_seen() stay O(log n); guarded by mu_.
+  std::map<Signature, std::size_t> sig_counts_;
   std::map<Signature, Results> cache_;        ///< level 2; guarded by mu_
   /// Signatures currently being evaluated by some thread; guarded by mu_.
   /// Waiters block on cv_ until the owning thread caches the result (or

@@ -63,10 +63,22 @@ VirtualMachine::VirtualMachine(const bc::Program& prog, const rt::MachineModel& 
       return sp;
     };
   }
-  pass_manager_ = std::make_unique<opt::PassManager>(
-      prog_, heuristic_, std::move(oracle),
-      config_.pipeline ? *config_.pipeline : opt::pipeline_from_options(config_.opt_options),
-      config_.inline_limits, config_.obs);
+  opt::PipelineDesc pipeline =
+      config_.pipeline ? *config_.pipeline : opt::pipeline_from_options(config_.opt_options);
+  if (config_.code_pool != nullptr) {
+    ITH_CHECK(config_.code_pool->serves(prog_, pipeline, config_.inline_limits),
+              "code pool serves a different program, pipeline or inline limits");
+    pool_tags_.resize(prog_.num_methods());
+    // The probe consults the live heuristic and oracle, so its key is exact
+    // under any profile state. Without an inline pass no verdict is ever
+    // taken and every body keys as kVerdictKeyBasis.
+    if (pipeline.has_pass("inline")) {
+      probe_.emplace(config_.code_pool->facts(), heuristic_, oracle, config_.inline_limits);
+    }
+  }
+  pass_manager_ = std::make_unique<opt::PassManager>(prog_, heuristic_, std::move(oracle),
+                                                     std::move(pipeline), config_.inline_limits,
+                                                     config_.obs);
   if (config_.simulate_icache) {
     icache_ = std::make_unique<rt::ICache>(machine_.icache_bytes, machine_.icache_line_bytes,
                                            machine_.icache_assoc);
@@ -76,6 +88,17 @@ VirtualMachine::VirtualMachine(const bc::Program& prog, const rt::MachineModel& 
   rt::CodeSource& self = *this;
   interp_ = std::make_unique<rt::Interpreter>(prog_, machine_, self, icache_.get(),
                                               config_.interp_options);
+}
+
+VirtualMachine::~VirtualMachine() {
+  CodePool* const pool = config_.code_pool;
+  if (pool == nullptr) return;
+  for (std::size_t i = 0; i < current_.size(); ++i) {
+    std::optional<PoolTag>& tag = pool_tags_[i];
+    if (current_[i] == nullptr || !tag) continue;
+    pool->put(static_cast<bc::MethodId>(i),
+              CodePool::Entry{tag->verdict_key, std::move(current_[i]), tag->stats});
+  }
 }
 
 std::uint64_t VirtualMachine::charge_compile(bc::MethodId id, std::uint64_t cycles) {
@@ -160,17 +183,34 @@ std::unique_ptr<rt::CompiledMethod> VirtualMachine::compile_baseline(bc::MethodI
 }
 
 std::unique_ptr<rt::CompiledMethod> VirtualMachine::compile_opt(bc::MethodId id, rt::Tier tier) {
-  opt::OptimizeResult result = pass_manager_->run(id);
-
-  auto cm = std::make_unique<rt::CompiledMethod>();
-  cm->body = std::move(result.body.method);
-  cm->tier = tier;
-  cm->method_id = id;
-  cm->origin.reserve(result.body.meta.size());
-  for (const opt::InstrMeta& m : result.body.meta) {
-    cm->origin.emplace_back(m.origin_method, m.origin_pc);
+  CodePool* const pool = config_.code_pool;
+  std::unique_ptr<rt::CompiledMethod> cm;
+  opt::OptStats stats;
+  std::uint64_t key = opt::kVerdictKeyBasis;
+  if (pool != nullptr && pool->occupied(id)) {
+    if (probe_) key = probe_->verdict_key(id);
+    if (std::optional<CodePool::Entry> parked = pool->take(id, key)) {
+      cm = std::move(parked->code);
+      stats = parked->stats;
+    }
   }
-  cm->finalize();
+  if (pool != nullptr && obs_ != nullptr) {
+    obs_->counter(cm != nullptr ? "vm.code_pool.hit" : "vm.code_pool.miss").add(1);
+  }
+  if (cm == nullptr) {
+    opt::OptimizeResult result = pass_manager_->run(id);
+    cm = std::make_unique<rt::CompiledMethod>();
+    cm->body = std::move(result.body.method);
+    cm->method_id = id;
+    cm->origin.reserve(result.body.meta.size());
+    for (const opt::InstrMeta& m : result.body.meta) {
+      cm->origin.emplace_back(m.origin_method, m.origin_pc);
+    }
+    cm->finalize();
+    stats = result.stats;
+    key = stats.inline_stats.verdict_key;
+  }
+  cm->tier = tier;
 
   ITH_ASSERT(live_iter_ != nullptr, "compilation outside a run");
   const std::uint64_t cycles =
@@ -185,29 +225,32 @@ std::unique_ptr<rt::CompiledMethod> VirtualMachine::compile_opt(bc::MethodId id,
                    obs::Domain::kSim, sim_now_, cycles,
                    {{"method", prog_.method(id).name()},
                     {"size_words", cm->size_words()},
-                    {"sites_inlined", result.stats.inline_stats.sites_inlined},
-                    {"sites_considered", result.stats.inline_stats.sites_considered}});
+                    {"sites_inlined", stats.inline_stats.sites_inlined},
+                    {"sites_considered", stats.inline_stats.sites_considered}});
     obs_->counter(full ? "vm.compiles.opt" : "vm.compiles.mid").add(1);
   }
   sim_now_ += cycles;  // cursor advances even when kCompile is masked out
 
   auto& agg = live_result_->opt_stats;
-  agg.inline_stats.sites_considered += result.stats.inline_stats.sites_considered;
-  agg.inline_stats.sites_inlined += result.stats.inline_stats.sites_inlined;
-  agg.inline_stats.sites_partially_inlined += result.stats.inline_stats.sites_partially_inlined;
-  agg.inline_stats.sites_refused_by_heuristic += result.stats.inline_stats.sites_refused_by_heuristic;
-  agg.inline_stats.sites_refused_structural += result.stats.inline_stats.sites_refused_structural;
+  agg.inline_stats.sites_considered += stats.inline_stats.sites_considered;
+  agg.inline_stats.sites_inlined += stats.inline_stats.sites_inlined;
+  agg.inline_stats.sites_partially_inlined += stats.inline_stats.sites_partially_inlined;
+  agg.inline_stats.sites_refused_by_heuristic += stats.inline_stats.sites_refused_by_heuristic;
+  agg.inline_stats.sites_refused_structural += stats.inline_stats.sites_refused_structural;
   agg.inline_stats.max_depth_reached =
-      std::max(agg.inline_stats.max_depth_reached, result.stats.inline_stats.max_depth_reached);
-  agg.folds += result.stats.folds;
-  agg.copyprops += result.stats.copyprops;
-  agg.dead_stores += result.stats.dead_stores;
-  agg.branch_simplifications += result.stats.branch_simplifications;
-  agg.algebraic_simplifications += result.stats.algebraic_simplifications;
-  agg.compare_fusions += result.stats.compare_fusions;
-  agg.tail_calls_eliminated += result.stats.tail_calls_eliminated;
-  agg.unreachable_removed += result.stats.unreachable_removed;
-  agg.instructions_compacted += result.stats.instructions_compacted;
+      std::max(agg.inline_stats.max_depth_reached, stats.inline_stats.max_depth_reached);
+  agg.folds += stats.folds;
+  agg.copyprops += stats.copyprops;
+  agg.dead_stores += stats.dead_stores;
+  agg.branch_simplifications += stats.branch_simplifications;
+  agg.algebraic_simplifications += stats.algebraic_simplifications;
+  agg.compare_fusions += stats.compare_fusions;
+  agg.tail_calls_eliminated += stats.tail_calls_eliminated;
+  agg.unreachable_removed += stats.unreachable_removed;
+  agg.instructions_compacted += stats.instructions_compacted;
+  // Only a charged compile is parked later: one that threw above returns
+  // nothing to the pool, and a taken body it held dies here.
+  if (pool != nullptr) pool_tags_[static_cast<std::size_t>(id)] = PoolTag{key, stats};
   return cm;
 }
 

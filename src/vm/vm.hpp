@@ -30,6 +30,7 @@
 #include "bytecode/program.hpp"
 #include "heuristics/heuristic.hpp"
 #include "obs/context.hpp"
+#include "opt/decision_probe.hpp"
 #include "opt/optimizer.hpp"
 #include "resilience/budget.hpp"
 #include "resilience/fault.hpp"
@@ -37,6 +38,7 @@
 #include "runtime/interpreter.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/profile.hpp"
+#include "vm/code_pool.hpp"
 
 namespace ith::vm {
 
@@ -95,6 +97,13 @@ struct VmConfig {
   /// sites. Non-owning, may be null (= no injection, one branch per site);
   /// must outlive the VM.
   const resilience::FaultPlan* faults = nullptr;
+  /// Optimized bodies shared with earlier VMs over the same program
+  /// (code_pool.hpp). Non-owning, may be null (= compile everything); must
+  /// outlive the VM and serve this VM's program, pipeline and inline limits.
+  /// A pooled body is installed exactly as a fresh compile of it would be —
+  /// same compile-cycle charge, budget check, fault draw and opt_stats — so
+  /// every RunResult is bit-identical with or without a pool.
+  CodePool* code_pool = nullptr;
   /// Caller identity mixed into every fault-injection key so distinct
   /// evaluations (genome, workload, attempt) see independent fault draws.
   std::uint64_t fault_key = 0;
@@ -113,6 +122,8 @@ struct IterationStats {
   std::uint64_t compile_cycles = 0;
   std::size_t baseline_compiles = 0;
   std::size_t opt_compiles = 0;
+
+  friend bool operator==(const IterationStats&, const IterationStats&) = default;
 };
 
 struct RunResult {
@@ -138,6 +149,10 @@ class VirtualMachine final : private rt::CodeSource {
   /// heuristics (knapsack oracle) build per-program state in prepare().
   VirtualMachine(const bc::Program& prog, const rt::MachineModel& machine,
                  heur::InlineHeuristic& heuristic, VmConfig config = {});
+  /// Parks every installed optimized body in config().code_pool.
+  ~VirtualMachine() override;
+  VirtualMachine(const VirtualMachine&) = delete;
+  VirtualMachine& operator=(const VirtualMachine&) = delete;
 
   /// Runs the benchmark `iterations` times (>= 1; the paper uses >= 2).
   RunResult run(int iterations = 2);
@@ -168,6 +183,8 @@ class VirtualMachine final : private rt::CodeSource {
   void on_call_site(bc::MethodId origin_method, std::int32_t origin_pc) override;
 
   std::unique_ptr<rt::CompiledMethod> compile_baseline(bc::MethodId id);
+  /// Takes the pooled body when its verdict key matches, else runs the
+  /// optimizer; either way charges and accounts the compilation.
   std::unique_ptr<rt::CompiledMethod> compile_opt(bc::MethodId id, rt::Tier tier);
   void install(bc::MethodId id, std::unique_ptr<rt::CompiledMethod> cm);
   void maybe_recompile(bc::MethodId id);
@@ -193,6 +210,17 @@ class VirtualMachine final : private rt::CodeSource {
   std::unique_ptr<opt::PassManager> pass_manager_;
 
   std::vector<std::unique_ptr<rt::CompiledMethod>> current_;
+  /// With a code pool: the verdict key and optimizer statistics of each
+  /// method's installed optimized body (empty for baseline code), which the
+  /// destructor parks alongside the body.
+  struct PoolTag {
+    std::uint64_t verdict_key = 0;
+    opt::OptStats stats;
+  };
+  std::vector<std::optional<PoolTag>> pool_tags_;
+  /// Replays inline decisions for the pool's key check; set only when the
+  /// pipeline inlines and a pool is configured.
+  std::optional<opt::DecisionProbe> probe_;
   std::vector<std::unique_ptr<rt::CompiledMethod>> retired_;
   std::vector<int> opt_compile_count_;  // per-method optimizing compilations so far
   rt::ProfileData profile_;

@@ -19,6 +19,7 @@
 #include "obs/sink.hpp"
 #include "opt/decision_probe.hpp"
 #include "opt/inliner.hpp"
+#include "support/hash.hpp"
 #include "workloads/suite.hpp"
 
 namespace ith {
@@ -46,7 +47,8 @@ void expect_probe_matches_inliner(const bc::Program& prog, const heur::InlinePar
                                   const opt::SiteOracle& oracle, opt::InlineLimits limits,
                                   const std::string& label) {
   const heur::JikesHeuristic heuristic(params);
-  const opt::DecisionProbe probe(prog, heuristic, oracle, limits);
+  const opt::ProgramFacts facts(prog);
+  const opt::DecisionProbe probe(facts, heuristic, oracle, limits);
 
   for (bc::MethodId id = 0; id < static_cast<bc::MethodId>(prog.num_methods()); ++id) {
     obs::MemorySink sink;
@@ -88,6 +90,8 @@ void expect_probe_matches_inliner(const bc::Program& prog, const heur::InlinePar
     EXPECT_EQ(probe_stats.max_depth_reached, real_stats.max_depth_reached) << label;
     EXPECT_EQ(probe_stats.size_before_words, real_stats.size_before_words) << label;
     EXPECT_EQ(probe_stats.size_after_words, real_stats.size_after_words) << label;
+    EXPECT_EQ(probe_stats.verdict_key, real_stats.verdict_key) << label;
+    EXPECT_EQ(probe.verdict_key(id), real_stats.verdict_key) << label;
     // The probe's virtual size accounting must agree with the real estimate
     // of the actually-spliced body, not just with the stats struct.
     EXPECT_EQ(probe_stats.size_after_words, bc::estimated_method_size(am.method)) << label;
@@ -210,6 +214,36 @@ TEST(DecisionProbe, MatchesInlinerOverFuzzCorpus) {
     }
   }
 }
+
+// The verdict key the code pool matches on: for every method of every
+// corpus program, the hash-only probe must return exactly the key the real
+// inliner folds, under cold and all-hot oracles and every genome variant.
+TEST(DecisionProbe, VerdictKeyMatchesInlinerOverFuzzCorpus) {
+  const auto entries = fuzz::load_corpus(ITH_FUZZ_CORPUS_DIR);
+  ASSERT_FALSE(entries.empty()) << "corpus directory missing or empty";
+  const std::vector<heur::InlineParams> params = param_variants();
+  const auto oracles = oracle_variants();
+  std::map<std::uint64_t, int> keys;
+  for (const auto& [name, prog] : entries) {
+    const opt::ProgramFacts facts(prog);
+    for (const auto& [oracle_name, oracle] : {oracles[0], oracles[1]}) {
+      for (std::size_t pi = 0; pi < params.size(); ++pi) {
+        const heur::JikesHeuristic heuristic(params[pi]);
+        const opt::Inliner inliner(prog, heuristic, oracle);
+        const opt::DecisionProbe probe(facts, heuristic, oracle);
+        for (bc::MethodId id = 0; id < static_cast<bc::MethodId>(prog.num_methods()); ++id) {
+          opt::InlineStats stats;
+          inliner.run(id, &stats);
+          EXPECT_EQ(probe.verdict_key(id), stats.verdict_key)
+              << name << " method " << prog.method(id).name() << " params" << pi << " "
+              << oracle_name;
+          ++keys[stats.verdict_key];
+        }
+      }
+    }
+  }
+  EXPECT_GT(keys.size(), 1u) << "every compilation produced one key: the test is vacuous";
+}
 #endif
 
 // --- Partial inlining -------------------------------------------------------
@@ -261,6 +295,54 @@ TEST(DecisionProbe, MatchesInlinerOverPartialSplices) {
 }
 
 // --- Decision signature ----------------------------------------------------
+
+// The decision signatures of the lazily memoized per-probe facts, recorded
+// before ProgramFacts became one eagerly built object shared by every probe:
+// a fold of (value, exact, consultations, forks) over six genomes, cold and
+// adaptive, per program (and over the whole fuzz corpus). Sharing one facts
+// object across all twelve calls must land on the same values.
+std::uint64_t fold_signatures(const opt::ProgramFacts& facts) {
+  const std::vector<heur::InlineParams::Array> genomes = {
+      heur::default_params().to_array(), {500, 200, 12, 100000, 500, 0}, {1, 0, 0, 1, 1, 0},
+      {23, 11, 5, 2048, 135, 40},        {60, 30, 3, 512, 40, 12},        {12, 4, 8, 4000, 300, 0}};
+  std::uint64_t h = kFnv1aBasis;
+  for (const heur::InlineParams::Array& g : genomes) {
+    for (const bool adaptive : {false, true}) {
+      opt::SignatureOptions opts;
+      opts.adaptive = adaptive;
+      const opt::SignatureResult r = opt::decision_signature(
+          facts, heur::InlineParams::from_array(g), opt::InlineLimits{}, opts);
+      h = fnv1a_u64(h, r.value);
+      h = fnv1a_u64(h, r.exact ? 1 : 0);
+      h = fnv1a_u64(h, r.consultations);
+      h = fnv1a_u64(h, r.forks);
+    }
+  }
+  return h;
+}
+
+TEST(DecisionSignature, SharedEagerFactsReproduceRecordedSignatures) {
+  const std::map<std::string, std::uint64_t> recorded = {
+      {"compress", 0xe8fbb673e1a7d8edULL},  {"jess", 0x5c229dbfe3e9374aULL},
+      {"db", 0xa73bf8f46f6bf1ffULL},        {"javac", 0x7b85d5c06e50d771ULL},
+      {"mpegaudio", 0x0a7ef5cda7b2daa5ULL}, {"raytrace", 0x2caaa5c0b0a57a19ULL},
+      {"jack", 0xe93a5d99409d2405ULL},      {"antlr", 0x0e7996ee27e9a183ULL},
+      {"fop", 0xfc07494106de7d9eULL},       {"jython", 0x4eeeef42523ec931ULL},
+      {"pmd", 0xaab16dc0401f5a62ULL},       {"ps", 0x503ba596b8dd7bc2ULL},
+      {"ipsixql", 0xfc7b3d7b10cfcaa2ULL},   {"pseudojbb", 0x4d7141d9560beffdULL},
+  };
+  for (const wl::Workload& w : wl::make_suite("all")) {
+    ASSERT_EQ(recorded.count(w.name), 1u) << w.name;
+    EXPECT_EQ(fold_signatures(opt::ProgramFacts(w.program)), recorded.at(w.name)) << w.name;
+  }
+#ifdef ITH_FUZZ_CORPUS_DIR
+  std::uint64_t corpus = kFnv1aBasis;
+  for (const auto& [name, prog] : fuzz::load_corpus(ITH_FUZZ_CORPUS_DIR)) {
+    corpus = fnv1a_u64(corpus, fold_signatures(opt::ProgramFacts(prog)));
+  }
+  EXPECT_EQ(corpus, 0x3e63e774960d25a0ULL);
+#endif
+}
 
 bc::Program two_method_program() {
   bc::Program prog("sigtest", 4);

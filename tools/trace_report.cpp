@@ -282,6 +282,23 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Code pool: optimizing compiles served by a body an earlier VM over the
+    // same program left behind, against those the optimizer really ran.
+    const auto counter_or_zero = [&](const char* k) {
+      const auto it = counters.find(k);
+      return it == counters.end() ? std::int64_t{0} : it->second;
+    };
+    const std::int64_t pool_hits = counter_or_zero("vm.code_pool.hit");
+    const std::int64_t pool_misses = counter_or_zero("vm.code_pool.miss");
+    if (pool_hits + pool_misses > 0) {
+      std::cout << "\ncode pool: " << pool_hits << "/" << (pool_hits + pool_misses)
+                << " optimizing compiles reused ("
+                << cell(100.0 * static_cast<double>(pool_hits) /
+                            static_cast<double>(pool_hits + pool_misses),
+                        1)
+                << "%)\n";
+    }
+
     // Serving: the serving tier's counters (request/SLO accounting, fleet
     // installs) plus the online controller's retune verdicts, aggregated
     // from serve.retune instants so a serving trace answers "did the tuner
