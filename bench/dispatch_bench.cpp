@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -16,6 +15,7 @@
 #include "runtime/machine.hpp"
 #include "serving/workloads.hpp"
 #include "support/error.hpp"
+#include "support/statistics.hpp"
 #include "workloads/suite.hpp"
 
 namespace ith::bench {
@@ -88,12 +88,11 @@ struct EngineBench {
   std::unique_ptr<rt::ICache> icache;
   std::unique_ptr<rt::Interpreter> interp;
   rt::ExecStats cold;  ///< stats of the cold (warm-up) run, fresh icache
-  double best_seconds = std::numeric_limits<double>::infinity();
+  std::vector<double> round_seconds;
 };
 
 EngineBench setup_engine(const bc::Program& prog, const rt::MachineModel& machine,
-                         rt::EngineKind kind, rt::FusionPolicy fusion,
-                         const DispatchBenchConfig& config) {
+                         rt::EngineKind kind, const DispatchBenchConfig& config) {
   EngineBench b;
   b.source = std::make_unique<PlainSource>(prog);
   if (config.with_icache) {
@@ -102,7 +101,6 @@ EngineBench setup_engine(const bc::Program& prog, const rt::MachineModel& machin
   }
   rt::InterpreterOptions opts;
   opts.engine = kind;
-  opts.fusion = fusion;
   b.interp = std::make_unique<rt::Interpreter>(prog, machine, *b.source, b.icache.get(), opts);
 
   // Cold run: pays predecoding, arena growth, and icache fill once, and
@@ -111,8 +109,7 @@ EngineBench setup_engine(const bc::Program& prog, const rt::MachineModel& machin
   return b;
 }
 
-/// One steady-state timing round. The best (minimum) across rounds is the
-/// reported time, rejecting transient interference.
+/// One steady-state timing round.
 void time_round(EngineBench& b) {
   b.interp->reset_globals();
   const auto t0 = std::chrono::steady_clock::now();
@@ -120,7 +117,15 @@ void time_round(EngineBench& b) {
   const auto t1 = std::chrono::steady_clock::now();
   ITH_CHECK(stats.instructions == b.cold.instructions,
             "dispatch bench: instruction count drifted across repeats");
-  b.best_seconds = std::min(b.best_seconds, std::chrono::duration<double>(t1 - t0).count());
+  b.round_seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
+}
+
+/// Linear-interpolated quantile of an ascending-sorted, non-empty range.
+double sorted_quantile(const std::vector<double>& v, double q) {
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
 std::string format_double(double v, int precision) {
@@ -143,55 +148,50 @@ std::vector<DispatchMeasurement> run_dispatch_bench(const DispatchBenchConfig& c
   const rt::MachineModel machine = rt::pentium4_model();
   std::vector<DispatchMeasurement> out;
   for (const NamedProgram& np : dispatch_programs(config)) {
-    EngineBench fast = setup_engine(np.program, machine, rt::EngineKind::kFast,
-                                    rt::default_fusion_policy(), config);
-    EngineBench nofuse = setup_engine(np.program, machine, rt::EngineKind::kFast,
-                                      rt::FusionPolicy::kOff, config);
-    EngineBench ref = setup_engine(np.program, machine, rt::EngineKind::kReference,
-                                   rt::FusionPolicy::kOff, config);
-    if (!(fast.cold == ref.cold) || !(nofuse.cold == ref.cold)) {
+    EngineBench fast = setup_engine(np.program, machine, rt::EngineKind::kFast, config);
+    EngineBench ref = setup_engine(np.program, machine, rt::EngineKind::kReference, config);
+    if (!(fast.cold == ref.cold)) {
       throw Error("dispatch bench: engines disagree on '" + np.name +
                   "' — refusing to time non-equivalent executions");
     }
-    // Timing rounds are interleaved across the three variants instead of
+    // Timing rounds are interleaved across the two engines instead of
     // exhausting one engine's repeats before the next: when the host's
     // effective speed drifts mid-benchmark (CPU steal on a shared core,
-    // frequency changes), every variant samples the same slow and fast
-    // windows, so the reported speedup RATIOS stay stable even when the
+    // frequency changes), both engines sample the same slow and fast
+    // windows, so each round's speedup RATIO stays stable even when the
     // absolute throughput numbers move.
     for (int r = 0; r < config.repeats; ++r) {
       time_round(fast);
-      time_round(nofuse);
       time_round(ref);
     }
     const struct {
       const EngineBench* t;
       const char* engine;
-    } variants[] = {{&fast, "fast"}, {&nofuse, "fast-nofuse"}, {&ref, "reference"}};
+    } variants[] = {{&fast, "fast"}, {&ref, "reference"}};
     for (const auto& v : variants) {
       DispatchMeasurement m;
       m.workload = np.name;
       m.engine = v.engine;
       m.instructions = v.t->cold.instructions;
       m.sim_cycles = v.t->cold.cycles;
-      m.best_seconds = v.t->best_seconds;
-      m.insns_per_sec = static_cast<double>(v.t->cold.instructions) / v.t->best_seconds;
-      m.ns_per_insn = v.t->best_seconds * 1e9 / static_cast<double>(v.t->cold.instructions);
+      m.round_seconds = v.t->round_seconds;
+      m.best_seconds = min_of(m.round_seconds);
+      m.insns_per_sec = static_cast<double>(m.instructions) / m.best_seconds;
+      m.ns_per_insn = m.best_seconds * 1e9 / static_cast<double>(m.instructions);
       out.push_back(std::move(m));
     }
   }
   return out;
 }
 
-double geomean_ratio(const std::vector<DispatchMeasurement>& ms, const std::string& num,
-                     const std::string& den) {
+double geomean_speedup(const std::vector<DispatchMeasurement>& ms) {
   double log_sum = 0.0;
   int n = 0;
-  for (const DispatchMeasurement& m : ms) {
-    if (m.engine != num) continue;
-    for (const DispatchMeasurement& d : ms) {
-      if (d.engine == den && d.workload == m.workload) {
-        log_sum += std::log(m.insns_per_sec / d.insns_per_sec);
+  for (const DispatchMeasurement& f : ms) {
+    if (f.engine != "fast") continue;
+    for (const DispatchMeasurement& r : ms) {
+      if (r.engine == "reference" && r.workload == f.workload) {
+        log_sum += std::log(f.insns_per_sec / r.insns_per_sec);
         ++n;
         break;
       }
@@ -200,8 +200,26 @@ double geomean_ratio(const std::vector<DispatchMeasurement>& ms, const std::stri
   return n == 0 ? 1.0 : std::exp(log_sum / n);
 }
 
-double geomean_speedup(const std::vector<DispatchMeasurement>& ms) {
-  return geomean_ratio(ms, "fast", "reference");
+SpeedupSpread round_speedup(const std::vector<DispatchMeasurement>& ms) {
+  std::vector<std::vector<double>> per_round;  // [round][workload]
+  for (const DispatchMeasurement& f : ms) {
+    if (f.engine != "fast") continue;
+    for (const DispatchMeasurement& r : ms) {
+      if (r.engine != "reference" || r.workload != f.workload) continue;
+      ITH_CHECK(r.round_seconds.size() == f.round_seconds.size(),
+                "dispatch bench: engines ran different round counts");
+      per_round.resize(f.round_seconds.size());
+      for (std::size_t i = 0; i < f.round_seconds.size(); ++i) {
+        per_round[i].push_back(r.round_seconds[i] / f.round_seconds[i]);
+      }
+    }
+  }
+  ITH_CHECK(!per_round.empty(), "dispatch bench: no timing rounds");
+  std::vector<double> speedups;
+  for (const std::vector<double>& round : per_round) speedups.push_back(geomean(round));
+  std::sort(speedups.begin(), speedups.end());
+  return {sorted_quantile(speedups, 0.25), sorted_quantile(speedups, 0.5),
+          sorted_quantile(speedups, 0.75)};
 }
 
 void write_bench_json(std::ostream& os, const DispatchBenchConfig& config,
@@ -211,8 +229,7 @@ void write_bench_json(std::ostream& os, const DispatchBenchConfig& config,
   os << "  \"unit\": \"interpreted instructions per wall-clock second\",\n";
   os << "  \"config\": {\"repeats\": " << config.repeats << ", \"run_scale\": "
      << format_double(config.run_scale, 2) << ", \"fuzz_seed\": " << config.fuzz_seed
-     << ", \"icache\": " << (config.with_icache ? "true" : "false") << ", \"fusion\": \""
-     << rt::fusion_policy_name(rt::default_fusion_policy()) << "\"},\n";
+     << ", \"icache\": " << (config.with_icache ? "true" : "false") << "},\n";
   os << "  \"results\": [\n";
   for (std::size_t i = 0; i < ms.size(); ++i) {
     const DispatchMeasurement& m = ms[i];
@@ -224,12 +241,12 @@ void write_bench_json(std::ostream& os, const DispatchBenchConfig& config,
        << (i + 1 < ms.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
+  const SpeedupSpread spread = round_speedup(ms);
   os << "  \"geomean_speedup_fast_over_reference\": " << format_double(geomean_speedup(ms), 3)
      << ",\n";
-  os << "  \"geomean_speedup_unfused_over_reference\": "
-     << format_double(geomean_ratio(ms, "fast-nofuse", "reference"), 3) << ",\n";
-  os << "  \"geomean_speedup_fast_over_unfused\": "
-     << format_double(geomean_ratio(ms, "fast", "fast-nofuse"), 3) << "\n";
+  os << "  \"round_speedup_fast_over_reference\": {\"q1\": " << format_double(spread.q1, 3)
+     << ", \"median\": " << format_double(spread.median, 3)
+     << ", \"q3\": " << format_double(spread.q3, 3) << "}\n";
   os << "}\n";
 }
 
@@ -254,12 +271,12 @@ void print_dispatch_table(std::ostream& os, const std::vector<DispatchMeasuremen
     for (std::size_t p = cols.size(); p < 8; ++p) os << ' ';
     os << cols << "\n";
   }
-  os << "\ngeomean speedup (fast / reference):        "
+  const SpeedupSpread spread = round_speedup(ms);
+  os << "\ngeomean speedup of best rounds (fast / reference): "
      << format_double(geomean_speedup(ms), 2) << "x\n";
-  os << "geomean speedup (fast-nofuse / reference): "
-     << format_double(geomean_ratio(ms, "fast-nofuse", "reference"), 2) << "x\n";
-  os << "geomean speedup (fast / fast-nofuse):      "
-     << format_double(geomean_ratio(ms, "fast", "fast-nofuse"), 2) << "x\n";
+  os << "per-round speedup (fast / reference): median " << format_double(spread.median, 2)
+     << "x, quartiles " << format_double(spread.q1, 2) << "x-" << format_double(spread.q3, 2)
+     << "x\n";
 }
 
 }  // namespace ith::bench

@@ -6,19 +6,17 @@
 //   micro_dispatch [--repeats=N] [--json=PATH]
 //                  [--guard=BASELINE.json] [--tolerance=0.01]
 //
-// --guard compares this run's fast/reference geomean speedup against the
-// recorded baseline document and fails (exit 1) when it regressed by more
-// than --tolerance (relative). The ratio is host-machine independent, so
-// the same guard value works on a laptop and in CI; it is the overhead
-// budget for the observability layer — with a null obs context the fast
-// engine must keep its full speedup over the reference engine.
-//
-// The guard is fusion-policy aware: under ITH_FUSION=0 the "fast" engine
-// runs unfused, so the guard compares against the baseline's recorded
-// *unfused* geomean (geomean_speedup_unfused_over_reference) instead of
-// the headline fused number — the same recorded document guards both CI
-// legs. On failure it prints a per-workload current-vs-recorded breakdown
-// so the offending workload is identifiable without rerunning locally.
+// --guard compares this run's fast/reference speedup against the recorded
+// baseline document and fails (exit 1) when it regressed by more than
+// --tolerance (relative). The compared figure is the median over timing
+// rounds of each round's speedup (both engines timed back to back, so host
+// speed drift cancels within a round); the quartiles are printed beside it
+// so a reader can see whether a miss is inside the run's own spread. The
+// ratio is host-machine independent, so the same guard value works on a
+// laptop and in CI; it is the overhead budget for the observability layer
+// — with a null obs context the fast engine must keep its full speedup over
+// the reference engine. On failure it prints a per-workload breakdown so the
+// offending workload is identifiable without rerunning locally.
 //
 // The simulated ExecStats are checked for cross-engine equality before any
 // timing is reported, so a regression in the equivalence guarantee fails
@@ -32,7 +30,6 @@
 #include <string>
 
 #include "dispatch_bench.hpp"
-#include "runtime/predecode.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 
@@ -46,28 +43,18 @@ ith::JsonValue load_baseline(const std::string& path) {
   return ith::parse_json(buf.str());
 }
 
-/// The recorded geomean the current run must hold. Selected by the active
-/// fusion policy; documents recorded before fusion existed only carry the
-/// fast/reference field, which is the correct unfused baseline for them.
-double baseline_geomean_speedup(const ith::JsonValue& doc, const std::string& path,
-                                bool fusion_off) {
-  if (fusion_off) {
-    if (const ith::JsonValue* v = doc.find("geomean_speedup_unfused_over_reference");
-        v != nullptr && v->kind == ith::JsonValue::Kind::kNumber) {
-      return v->number;
-    }
-  }
-  const ith::JsonValue* v = doc.find("geomean_speedup_fast_over_reference");
+/// The recorded median per-round speedup the current run must hold.
+double baseline_median_speedup(const ith::JsonValue& doc, const std::string& path) {
+  const ith::JsonValue* spread = doc.find("round_speedup_fast_over_reference");
+  const ith::JsonValue* v = spread == nullptr ? nullptr : spread->find("median");
   ITH_CHECK(v != nullptr && v->kind == ith::JsonValue::Kind::kNumber,
-            path + ": geomean_speedup_fast_over_reference missing");
+            path + ": round_speedup_fast_over_reference.median missing");
   return v->number;
 }
 
-/// Per-workload fast-engine/reference speedups from a baseline document's
-/// results array. `fast_engine` is "fast" or "fast-nofuse"; falls back to
-/// "fast" rows when the document predates the three-variant format.
-std::map<std::string, double> baseline_workload_speedups(const ith::JsonValue& doc,
-                                                         const std::string& fast_engine) {
+/// Per-workload fast/reference speedups of the fastest rounds, from a
+/// baseline document's results array.
+std::map<std::string, double> workload_speedups(const ith::JsonValue& doc) {
   std::map<std::string, double> fast_ips, ref_ips;
   const ith::JsonValue* results = doc.find("results");
   if (results == nullptr || results->kind != ith::JsonValue::Kind::kArray) return {};
@@ -76,11 +63,7 @@ std::map<std::string, double> baseline_workload_speedups(const ith::JsonValue& d
     const ith::JsonValue* engine = row.find("engine");
     const ith::JsonValue* ips = row.find("insns_per_sec");
     if (wl == nullptr || engine == nullptr || ips == nullptr) continue;
-    if (engine->str == fast_engine || (fast_ips.count(wl->str) == 0 && engine->str == "fast")) {
-      fast_ips[wl->str] = ips->number;
-    } else if (engine->str == "reference") {
-      ref_ips[wl->str] = ips->number;
-    }
+    (engine->str == "fast" ? fast_ips : ref_ips)[wl->str] = ips->number;
   }
   std::map<std::string, double> out;
   for (const auto& [wl, ips] : fast_ips) {
@@ -90,13 +73,11 @@ std::map<std::string, double> baseline_workload_speedups(const ith::JsonValue& d
 }
 
 void print_guard_breakdown(const std::vector<ith::bench::DispatchMeasurement>& results,
-                           const std::map<std::string, double>& recorded,
-                           const std::string& variant) {
-  std::cerr << "per-workload speedup (" << variant << " / reference), current vs recorded:\n";
+                           const std::map<std::string, double>& recorded) {
+  std::cerr << "per-workload best-round speedup (fast / reference), current vs recorded:\n";
   std::map<std::string, double> fast_ips, ref_ips;
   for (const auto& m : results) {
-    if (m.engine == "fast") fast_ips[m.workload] = m.insns_per_sec;
-    if (m.engine == "reference") ref_ips[m.workload] = m.insns_per_sec;
+    (m.engine == "fast" ? fast_ips : ref_ips)[m.workload] = m.insns_per_sec;
   }
   for (const auto& [wl, ips] : fast_ips) {
     if (ref_ips.count(wl) == 0) continue;
@@ -147,24 +128,18 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << json_path << "\n";
     }
     if (!guard_path.empty()) {
-      const bool fusion_off = ith::rt::default_fusion_policy() == ith::rt::FusionPolicy::kOff;
       const ith::JsonValue doc = load_baseline(guard_path);
-      const double baseline = baseline_geomean_speedup(doc, guard_path, fusion_off);
-      const double current = ith::bench::geomean_speedup(results);
+      const double baseline = baseline_median_speedup(doc, guard_path);
+      const ith::bench::SpeedupSpread current = ith::bench::round_speedup(results);
       const double floor = baseline * (1.0 - tolerance);
-      std::cout << "guard: geomean speedup " << current << " vs recorded " << baseline
-                << " (fusion " << ith::rt::fusion_policy_name(ith::rt::default_fusion_policy())
-                << ", floor " << floor << ", tolerance " << tolerance * 100 << "%)\n";
-      if (current < floor) {
-        // Name the variant that regressed and the exact recorded-vs-measured
-        // pair: a CI log must identify the failing engine leg without
-        // rerunning locally.
-        const std::string variant = fusion_off ? "fast-nofuse" : "fast";
-        std::cerr << "micro_dispatch: engine variant '" << variant
-                  << "' regressed below the guard floor: recorded geomean " << baseline
-                  << "x, measured " << current << "x (floor " << floor << ", ITH_FUSION="
-                  << ith::rt::fusion_policy_name(ith::rt::default_fusion_policy()) << ")\n";
-        print_guard_breakdown(results, baseline_workload_speedups(doc, variant), variant);
+      std::cout << "guard: median per-round speedup " << current.median << " (quartiles "
+                << current.q1 << "-" << current.q3 << ") vs recorded " << baseline << " (floor "
+                << floor << ", tolerance " << tolerance * 100 << "%)\n";
+      if (current.median < floor) {
+        std::cerr << "micro_dispatch: fast engine regressed below the guard floor: recorded "
+                  << baseline << "x, measured median " << current.median << "x (quartiles "
+                  << current.q1 << "x-" << current.q3 << "x, floor " << floor << ")\n";
+        print_guard_breakdown(results, workload_speedups(doc));
         return 1;
       }
       std::cout << "guard: OK\n";

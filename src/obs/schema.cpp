@@ -19,7 +19,7 @@ bool known_category(const std::string& cat) {
 // free-form (they are human-read annotations).
 bool known_counter_family(const std::string& key) {
   for (const char* prefix :
-       {"vm.", "ga.", "sig.", "serve.", "resil.", "eval.", "rt.fused", "opt.", "svc."}) {
+       {"vm.", "ga.", "sig.", "serve.", "resil.", "eval.", "opt.", "svc."}) {
     if (key.rfind(prefix, 0) == 0) return true;
   }
   return false;

@@ -12,7 +12,7 @@
 //
 // Counter events ("C") additionally require every arg key to belong to a
 // registered counter family (vm. | ga. | sig. | serve. | resil. | eval. |
-// rt.fused* | opt.) so dashboards never silently chart a typo'd counter name.
+// opt. | svc.) so dashboards never silently chart a typo'd counter name.
 //
 // trace_report uses the same routine, so "validates in CI" and "parses in
 // the report tool" can never drift apart.

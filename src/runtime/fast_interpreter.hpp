@@ -34,8 +34,6 @@ class FastInterpreter final : public Engine {
 
   ExecStats run() override;
 
-  const FusionStats* fusion_stats() const override { return &fusion_stats_; }
-
  private:
   /// An active frame. `resume` is only meaningful for suspended frames
   /// (callers): the instruction after their kCall.
@@ -60,11 +58,6 @@ class FastInterpreter final : public Engine {
     std::int64_t* loc;
     std::int64_t* stk;
     std::size_t sp;
-    /// The entered body's operand side-pool base (immediate fused forms
-    /// index it by the head's 16-bit handle). Mirrored into the dispatch
-    /// loop alongside ip/loc so imm handlers reach their window in one
-    /// indexed load instead of chasing frames_.back().pb.
-    const FusedWindow* pool;
   };
 
   /// body_for + lazy threading: fills dispatch targets from `labels`
@@ -92,7 +85,6 @@ class FastInterpreter final : public Engine {
   };
   std::vector<Slot> predecoded_;  // indexed by method id
   std::vector<std::unique_ptr<PredecodedBody>> retired_;
-  FusionStats fusion_stats_;  // accumulated across predecodes
 
   // Execution arenas, reused across run() calls.
   std::vector<FastFrame> frames_;

@@ -130,30 +130,6 @@ void VirtualMachine::check_wall() const {
   }
 }
 
-void VirtualMachine::publish_fusion_counters() {
-  if (obs_ == nullptr || !obs_->enabled(obs::Category::kVm)) return;
-  const rt::FusionStats* fs = interp_->fusion_stats();
-  if (fs == nullptr) return;  // reference engine: nothing to report
-  const auto bump = [&](const std::string& name, std::uint64_t now, std::uint64_t& last) {
-    if (now > last) {
-      obs_->counter(name).add(now - last);
-      last = now;
-    }
-  };
-  bump("rt.fused_bodies", fs->bodies_fused, fusion_reported_.bodies_fused);
-  bump("rt.fused_rules_fired", fs->rules_fired, fusion_reported_.rules_fired);
-  bump("rt.fused_insns_eliminated", fs->insns_fused, fusion_reported_.insns_fused);
-  bump("rt.fused_imm_windows", fs->windows_imm, fusion_reported_.windows_imm);
-  bump("rt.fused_imm_pool_overflows", fs->pool_overflows, fusion_reported_.pool_overflows);
-  const std::vector<rt::FusionRule>& rules = rt::fusion_rules();
-  for (std::size_t r = 0; r < rules.size(); ++r) {
-    bump("rt.fused_rule." + std::string(rules[r].name), fs->rule_hits[r],
-         fusion_reported_.rule_hits[r]);
-    bump("rt.fused_imm_rule." + std::string(rules[r].name), fs->rule_hits_imm[r],
-         fusion_reported_.rule_hits_imm[r]);
-  }
-}
-
 std::unique_ptr<rt::CompiledMethod> VirtualMachine::compile_baseline(bc::MethodId id) {
   auto cm = std::make_unique<rt::CompiledMethod>();
   cm->body = prog_.method(id);
@@ -456,7 +432,6 @@ RunResult VirtualMachine::run(int iterations) {
   }
   live_iter_ = nullptr;
   live_result_ = nullptr;
-  publish_fusion_counters();
   if (obs_ != nullptr) obs_->flush();
 
   const IterationStats& first = result.iterations.front();

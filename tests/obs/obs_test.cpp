@@ -278,8 +278,8 @@ TEST(ObsSchema, RejectsMalformedRecords) {
 TEST(ObsSchema, CounterEventsRequireRegisteredFamilies) {
   // Every registered counter family passes...
   for (const char* key : {"vm.installs", "ga.evaluations_saved", "sig.hits", "serve.requests",
-                          "resil.outcome.ok", "eval.cache_hits", "rt.fused_bodies",
-                          "rt.fused_rule.load_const_cmplt_jz"}) {
+                          "resil.outcome.ok", "eval.cache_hits", "opt.pass.inline.runs",
+                          "svc.hits"}) {
     EXPECT_EQ(validate_event(event_json(std::string(R"({"name":"c","cat":"vm","ph":"C",)") +
                                         R"("ts":0,"pid":2,"tid":0,"args":{")" + key +
                                         R"(":1}})")),

@@ -103,54 +103,6 @@ TEST(VmTrace, IterationSpansTileTheSimTimeline) {
   EXPECT_EQ(exec, exec_all);
 }
 
-TEST(VmTrace, FusionCountersPublishedOnFusedRun) {
-  obs::MemorySink sink;
-  obs::Context ctx(&sink);
-  const bc::Program p = ith::test::make_loop_program(500);
-  heur::JikesHeuristic h;
-  VmConfig cfg;
-  cfg.scenario = Scenario::kAdapt;
-  cfg.hot_method_threshold = 50;
-  cfg.hot_site_threshold = 40;
-  cfg.rehot_multiplier = 4;
-  cfg.interp_options.fusion = rt::FusionPolicy::kAll;  // pinned: env-independent
-  cfg.obs = &ctx;
-  VirtualMachine m(p, rt::pentium4_model(), h, cfg);
-  m.run(2);
-  std::map<std::string, std::int64_t> fused;
-  for (const obs::Event& e : sink.events()) {
-    if (e.phase != obs::Phase::kCounter) continue;
-    for (const obs::Arg& a : e.args) {
-      if (a.key.rfind("rt.fused", 0) == 0) fused[a.key] = std::get<std::int64_t>(a.value);
-    }
-  }
-  ASSERT_FALSE(fused.empty()) << "fused run published no rt.fused_* counters";
-  EXPECT_GT(fused["rt.fused_bodies"], 0);
-  EXPECT_GT(fused["rt.fused_rules_fired"], 0);
-  EXPECT_GT(fused["rt.fused_insns_eliminated"], 0);
-  // Per-rule hits must reproduce the rules_fired total.
-  std::int64_t rule_sum = 0;
-  for (const auto& [key, v] : fused) {
-    if (key.rfind("rt.fused_rule.", 0) == 0) rule_sum += v;
-  }
-  EXPECT_EQ(rule_sum, fused["rt.fused_rules_fired"]);
-
-  // A fusion-off run publishes nothing in the family.
-  obs::MemorySink off_sink;
-  obs::Context off_ctx(&off_sink);
-  VmConfig off_cfg = cfg;
-  off_cfg.interp_options.fusion = rt::FusionPolicy::kOff;
-  off_cfg.obs = &off_ctx;
-  VirtualMachine off_m(p, rt::pentium4_model(), h, off_cfg);
-  off_m.run(2);
-  for (const obs::Event& e : off_sink.events()) {
-    if (e.phase != obs::Phase::kCounter) continue;
-    for (const obs::Arg& a : e.args) {
-      EXPECT_NE(a.key.rfind("rt.fused", 0), 0u) << a.key << " published with fusion off";
-    }
-  }
-}
-
 TEST(VmTrace, NullContextRunMatchesTracedRun) {
   // Tracing must be observational only: identical cycle accounting with and
   // without a context attached.

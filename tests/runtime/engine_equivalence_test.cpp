@@ -89,22 +89,6 @@ TEST(EngineEquivalence, WholeSuiteOptScenario) {
   }
 }
 
-// The suite runs above use the ambient ITH_FUSION policy; this pins both
-// extremes explicitly so the equivalence guarantee is policy-independent
-// regardless of how CI sets the environment.
-TEST(EngineEquivalence, SuiteIdenticalUnderEveryFusionPolicy) {
-  for (const rt::FusionPolicy policy : {rt::FusionPolicy::kOff, rt::FusionPolicy::kAll}) {
-    for (const wl::Workload& w : wl::make_suite("specjvm98")) {
-      vm::VmConfig cfg;
-      cfg.scenario = vm::Scenario::kAdapt;
-      cfg.interp_options.fusion = policy;
-      expect_identical(observe_vm(w.program, cfg, rt::EngineKind::kFast),
-                       observe_vm(w.program, cfg, rt::EngineKind::kReference),
-                       std::string("fusion=") + rt::fusion_policy_name(policy) + "/" + w.name);
-    }
-  }
-}
-
 // Aggressive thresholds + OSR so baseline frames are replaced mid-loop; the
 // suite-wide transition count must be nonzero (the config exercises the
 // transfer path, not just the guards) and identical between engines.
@@ -129,7 +113,8 @@ TEST(EngineEquivalence, OsrEnabledAdaptIsIdenticalAndTransitions) {
 }
 
 rt::ExecStats run_plain(const bc::Program& prog, rt::EngineKind engine, bool with_icache,
-                        std::vector<std::int64_t>* globals_out = nullptr) {
+                        std::vector<std::int64_t>* globals_out = nullptr,
+                        std::uint64_t max_instructions = 2'000'000'000ULL) {
   static const rt::MachineModel machine = rt::pentium4_model();
   test::IdentitySource source(prog);
   std::optional<rt::ICache> icache;
@@ -138,6 +123,7 @@ rt::ExecStats run_plain(const bc::Program& prog, rt::EngineKind engine, bool wit
   }
   rt::InterpreterOptions opts;
   opts.engine = engine;
+  opts.max_instructions = max_instructions;
   rt::Interpreter interp(prog, machine, source, icache ? &*icache : nullptr, opts);
   const rt::ExecStats stats = interp.run();
   if (globals_out != nullptr) *globals_out = interp.globals();
@@ -158,6 +144,139 @@ TEST(EngineEquivalence, FuzzedProgramsIdenticalWithAndWithoutICache) {
           run_plain(prog, rt::EngineKind::kReference, with_icache, &ref_globals);
       EXPECT_TRUE(fast == ref) << "seed " << seed << " icache " << with_icache;
       EXPECT_EQ(fast_globals, ref_globals) << "seed " << seed;
+    }
+  }
+}
+
+/// A back edge that lands mid-expression: the loop re-enters at the kCmpLt
+/// of `load; const; cmplt; jnz` with two live operand-stack values pushed
+/// by the loop body, so the comparison's inputs come from different paths.
+bc::Program make_backedge_mid_expression_program() {
+  bc::ProgramBuilder pb("backedge_mid_expression", 0);
+  auto& m = pb.method("main", 0, 1);
+  m.const_(5).store(0);
+  m.label("guard");
+  m.load(0).const_(1);
+  m.label("mid");
+  m.cmplt().jnz("done");
+  m.load(0).const_(1).sub().store(0);  // i--
+  m.load(0).load(0).load(0);           // (i, i, i): two survive the branch pop
+  m.jnz("mid");                        // i != 0: back edge into the expression
+  m.pop().pop();                       // i == 0: drop the pair, exit via guard
+  m.jmp("guard");
+  m.label("done");
+  m.load(0).halt();
+  pb.entry("main");
+  return pb.build();
+}
+
+/// A back edge into the middle of the statement `loc0 = loc0 - 1`: the
+/// branch lands on its kConst with the loaded value already on the stack.
+bc::Program make_backedge_mid_statement_program() {
+  bc::ProgramBuilder pb("backedge_mid_statement", 0);
+  auto& m = pb.method("main", 0, 1);
+  m.const_(5).store(0);
+  m.load(0);
+  m.label("mid");
+  m.const_(1).sub().store(0);
+  m.load(0).load(0).jnz("mid");  // i != 0: back edge into the statement
+  m.pop();
+  m.load(0).halt();
+  pb.entry("main");
+  return pb.build();
+}
+
+/// A forward jump into the middle of `const; add`: the kAdd is the join
+/// point of a diamond, and the two-trip loop takes each arm once.
+bc::Program make_jump_mid_expression_program() {
+  bc::ProgramBuilder pb("jump_mid_expression", 0);
+  auto& m = pb.method("main", 0, 1);
+  m.const_(0).store(0);  // trip counter doubles as path selector
+  m.label("iter");
+  m.const_(100);  // base operand, both arms
+  m.load(0).jnz("taken");
+  m.const_(41);
+  m.label("mid");
+  m.add();  // reached by fall-through on trip one, by the jump on trip two
+  m.jmp("join");
+  m.label("taken");
+  m.const_(7).jmp("mid");
+  m.label("join");
+  m.pop();
+  m.load(0).const_(1).add().store(0);
+  m.load(0).const_(2).cmplt().jnz("iter");
+  m.load(0).halt();
+  pb.entry("main");
+  return pb.build();
+}
+
+/// Deep call+return chain: every frame returns straight into another
+/// return, so one dynamic kRet in f0 unwinds through seven frames of kRet.
+bc::Program make_ret_chain_program() {
+  bc::ProgramBuilder pb("ret_chain", 0);
+  pb.method("f0", 1, 1).load(0).const_(1).add().ret();
+  for (int depth = 1; depth <= 6; ++depth) {
+    pb.method("f" + std::to_string(depth), 1, 1)
+        .load(0)
+        .call("f" + std::to_string(depth - 1), 1)
+        .ret();
+  }
+  auto& m = pb.method("main", 0, 1);
+  m.const_(0).store(0);
+  m.label("head");
+  m.load(0).const_(20).cmplt().jz("done");
+  m.load(0).call("f6", 1).pop();
+  m.load(0).const_(1).add().store(0);
+  m.jmp("head");
+  m.label("done");
+  m.load(0).halt();
+  pb.entry("main");
+  return pb.build();
+}
+
+TEST(EngineEquivalence, HandBuiltControlFlowIdenticalWithAndWithoutICache) {
+  const struct {
+    bc::Program prog;
+    const char* label;
+  } cases[] = {{make_backedge_mid_expression_program(), "backedge_mid_expression"},
+               {make_backedge_mid_statement_program(), "backedge_mid_statement"},
+               {make_jump_mid_expression_program(), "jump_mid_expression"},
+               {make_ret_chain_program(), "ret_chain"},
+               {test::make_loop_program(200), "guard_loop"},
+               {test::make_fib_program(12), "fib"},
+               {test::make_globals_program(), "globals"}};
+  for (const auto& c : cases) {
+    for (const bool with_icache : {false, true}) {
+      std::vector<std::int64_t> fast_globals;
+      std::vector<std::int64_t> ref_globals;
+      const rt::ExecStats fast =
+          run_plain(c.prog, rt::EngineKind::kFast, with_icache, &fast_globals);
+      const rt::ExecStats ref =
+          run_plain(c.prog, rt::EngineKind::kReference, with_icache, &ref_globals);
+      EXPECT_TRUE(fast == ref) << c.label << " icache " << with_icache;
+      EXPECT_EQ(fast_globals, ref_globals) << c.label;
+    }
+  }
+}
+
+// The instruction budget must trip at the same instruction with the same
+// message in both engines — swept so the trip point lands on every
+// instruction of the loops, mid-expression branch targets included.
+TEST(EngineEquivalence, BudgetTrapParityAtEveryInstruction) {
+  for (const bc::Program& prog :
+       {make_backedge_mid_expression_program(), make_backedge_mid_statement_program()}) {
+    for (std::uint64_t budget = 1; budget <= 60; ++budget) {
+      std::string outcome[2];
+      int i = 0;
+      for (const rt::EngineKind engine : {rt::EngineKind::kFast, rt::EngineKind::kReference}) {
+        try {
+          const rt::ExecStats stats = run_plain(prog, engine, false, nullptr, budget);
+          outcome[i++] = "ok:" + std::to_string(stats.instructions);
+        } catch (const Error& e) {
+          outcome[i++] = std::string("trap:") + e.what();
+        }
+      }
+      EXPECT_EQ(outcome[0], outcome[1]) << "budget " << budget;
     }
   }
 }

@@ -1,10 +1,10 @@
 // Writes perf-trajectory data points. Two modes:
 //
 //   bench_json [OUTPUT_PATH]
-//     Runs the dispatch micro-benchmark over the three engine variants
-//     (fast, fast with fusion off, reference) and emits
-//     BENCH_interpreter.json (instructions/sec and ns/instruction per
-//     variant, fixed workloads, pinned seed, fused + unfused geomeans).
+//     Runs the dispatch micro-benchmark over the fast and reference engines
+//     and emits BENCH_interpreter.json (instructions/sec and ns/instruction
+//     per engine, fixed workloads, pinned seed, the best-round geomean
+//     speedup and the median and quartiles of the per-round speedups).
 //
 //   bench_json --tuning [OUTPUT_PATH]
 //     Times one cold and one warm tuning run (default GA config, fixed
@@ -267,8 +267,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     ith::bench::write_bench_json(out, config, results);
-    std::cout << "wrote " << path << " (geomean fast/reference speedup "
-              << ith::bench::geomean_speedup(results) << "x)\n";
+    std::cout << "wrote " << path << " (median per-round fast/reference speedup "
+              << ith::bench::round_speedup(results).median << "x)\n";
   } catch (const ith::Error& e) {
     std::cerr << "bench_json: " << e.what() << "\n";
     return 1;

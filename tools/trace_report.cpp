@@ -372,64 +372,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Fusion: the fast engine's superinstruction-fusion counters (bodies
-    // rewritten, rules fired, dynamic-stream instructions eliminated) with
-    // per-rule hit counts, so a trace answers "which patterns actually fire
-    // on this workload" without rerunning the benchmark.
-    std::map<std::string, std::int64_t> fusion;
-    for (const auto& [name, v] : counters) {
-      if (name.rfind("rt.fused", 0) == 0) fusion[name] = v;
-    }
-    if (!fusion.empty()) {
-      auto fval = [&](const char* k) {
-        return fusion.count(k) ? fusion[k] : std::int64_t{0};
-      };
-      std::cout << "\nFusion (superinstruction predecode):\n";
-      Table t({"fusion counter", "value"});
-      for (const auto& [name, v] : fusion) {
-        if (name.rfind("rt.fused_rule.", 0) != 0 && name.rfind("rt.fused_imm_rule.", 0) != 0) {
-          t.add_row({name, std::to_string(v)});
-        }
-      }
-      t.render(std::cout);
-      // Per-rule table: total sites rewritten alongside the immediate-form
-      // subset, so a trace answers "which windows got their operands
-      // captured" next to "which patterns fire at all".
-      std::map<std::string, std::int64_t> rule_hits, rule_hits_imm;
-      for (const auto& [name, v] : fusion) {
-        if (name.rfind("rt.fused_imm_rule.", 0) == 0) {
-          rule_hits_imm[name.substr(std::string("rt.fused_imm_rule.").size())] = v;
-        } else if (name.rfind("rt.fused_rule.", 0) == 0) {
-          rule_hits[name.substr(std::string("rt.fused_rule.").size())] = v;
-        }
-      }
-      if (!rule_hits.empty() || !rule_hits_imm.empty()) {
-        Table rt_table({"fusion rule", "sites rewritten", "immediate form"});
-        for (const auto& [name, v] : rule_hits) {
-          const auto imm = rule_hits_imm.find(name);
-          rt_table.add_row({name, std::to_string(v),
-                            std::to_string(imm == rule_hits_imm.end() ? 0 : imm->second)});
-        }
-        // Imm-only rules (no pool-less fallback) may publish only the imm
-        // counter; surface them too instead of silently dropping the row.
-        for (const auto& [name, v] : rule_hits_imm) {
-          if (rule_hits.count(name) == 0) rt_table.add_row({name, "0", std::to_string(v)});
-        }
-        rt_table.render(std::cout);
-      }
-      const std::int64_t fired = fval("rt.fused_rules_fired");
-      const std::int64_t eliminated = fval("rt.fused_insns_eliminated");
-      if (fired > 0) {
-        std::cout << "fusion: " << fired << " sites rewritten across "
-                  << fval("rt.fused_bodies") << " bodies, " << eliminated
-                  << " static dispatches eliminated ("
-                  << cell(static_cast<double>(eliminated) / static_cast<double>(fired), 2)
-                  << " insns folded per site); " << fval("rt.fused_imm_windows")
-                  << " windows operand-captured, " << fval("rt.fused_imm_pool_overflows")
-                  << " side-pool overflows\n";
-      }
-    }
-
     // Failures: the resilience layer's counters (guarded-run outcomes by
     // kind, retries, quarantine activity), pulled out of the counter table
     // into their own section so a chaos campaign's survival story is
