@@ -39,6 +39,12 @@ struct SpeedupSpread {
   double q3 = 0.0;
 };
 
+/// Timing rounds behind the dispatch-speed guard. tools/bench_json records
+/// BENCH_interpreter.json with this many rounds and `micro_dispatch --guard`
+/// measures this many unless --repeats says otherwise, so the recorded
+/// median and the guarded one are taken over the same number of rounds.
+inline constexpr int kGuardRepeats = 15;
+
 struct DispatchBenchConfig {
   int repeats = 5;                ///< interleaved timing rounds per engine
   double run_scale = 1.0;         ///< workload trip-count multiplier

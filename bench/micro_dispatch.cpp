@@ -8,7 +8,8 @@
 //
 // --guard compares this run's fast/reference speedup against the recorded
 // baseline document and fails (exit 1) when it regressed by more than
-// --tolerance (relative). The compared figure is the median over timing
+// --tolerance (relative). Without --repeats a guarded run takes
+// kGuardRepeats rounds, the count tools/bench_json records the baseline with. The compared figure is the median over timing
 // rounds of each round's speedup (both engines timed back to back, so host
 // speed drift cancels within a round); the quartiles are printed beside it
 // so a reader can see whether a miss is inside the run's own spread. The
@@ -96,6 +97,7 @@ void print_guard_breakdown(const std::vector<ith::bench::DispatchMeasurement>& r
 
 int main(int argc, char** argv) {
   ith::bench::DispatchBenchConfig config;
+  bool repeats_given = false;
   std::string json_path;
   std::string guard_path;
   double tolerance = 0.01;
@@ -103,6 +105,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--repeats=", 0) == 0) {
       config.repeats = std::atoi(arg.c_str() + 10);
+      repeats_given = true;
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
     } else if (arg.rfind("--guard=", 0) == 0) {
@@ -115,6 +118,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (!guard_path.empty() && !repeats_given) config.repeats = ith::bench::kGuardRepeats;
   try {
     const auto results = ith::bench::run_dispatch_bench(config);
     ith::bench::print_dispatch_table(std::cout, results);

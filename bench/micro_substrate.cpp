@@ -8,7 +8,7 @@
 #include "bytecode/verifier.hpp"
 #include "ga/ga.hpp"
 #include "heuristics/heuristic.hpp"
-#include "opt/optimizer.hpp"
+#include "opt/pipeline.hpp"
 #include "runtime/icache.hpp"
 #include "runtime/interpreter.hpp"
 #include "support/rng.hpp"
@@ -103,10 +103,10 @@ BENCHMARK(BM_InlinerOnWorkload);
 void BM_OptimizerPipeline(benchmark::State& state) {
   const wl::Workload w = wl::make_workload("jess");
   heur::JikesHeuristic h;
-  const opt::Optimizer optimizer(w.program, h);
+  opt::PassManager pm(w.program, h);
   for (auto _ : state) {
     for (std::size_t m = 0; m < w.program.num_methods(); ++m) {
-      benchmark::DoNotOptimize(optimizer.optimize(static_cast<bc::MethodId>(m)).body.method.size());
+      benchmark::DoNotOptimize(pm.run(static_cast<bc::MethodId>(m)).body.method.size());
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -41,8 +41,8 @@ std::string OracleVerdict::summary() const {
 }
 
 std::size_t apply_planted_bug(bc::Method& body, PlantedBug bug,
-                              const opt::OptimizerOptions& options) {
-  if (bug != PlantedBug::kFoldOverflow || !options.enable_folding) return 0;
+                              const opt::PipelineDesc& pipeline) {
+  if (bug != PlantedBug::kFoldOverflow || !pipeline.has_pass("fold")) return 0;
   constexpr std::int64_t kMax32 = std::numeric_limits<std::int32_t>::max();
   constexpr std::int64_t kMin32 = std::numeric_limits<std::int32_t>::min();
 
@@ -289,15 +289,15 @@ DifferentialOracle::DifferentialOracle(OracleConfig config) : config_(config) {
   }
   params_ = heur::InlineParams::from_array(arr);
 
-  options_ = opt::OptimizerOptions{};
-  options_.enable_inlining = rng.chance(0.85);
-  options_.enable_folding = rng.chance(0.85);
-  options_.enable_copyprop = rng.chance(0.85);
-  options_.enable_dce = rng.chance(0.85);
-  options_.enable_branch_simplify = rng.chance(0.85);
-  options_.enable_algebraic = rng.chance(0.85);
-  options_.enable_compare_fusion = rng.chance(0.85);
-  options_.enable_tail_recursion = rng.chance(0.85);
+  // One keep/drop coin per pass, drawn in this fixed order so a seed always
+  // names the same pipeline; the dce coin covers both dead-code passes.
+  pipeline_ = opt::PipelineDesc::standard();
+  for (const std::string name : {"inline", "fold", "copyprop", "dce", "branch_simplify",
+                                 "algebraic", "compare_fusion", "tail_recursion"}) {
+    if (rng.chance(0.85)) continue;
+    pipeline_ = pipeline_.without(name);
+    if (name == "dce") pipeline_ = pipeline_.without("unreachable");
+  }
 
   hot_method_threshold_ = static_cast<std::uint64_t>(rng.range(20, 800));
   hot_site_threshold_ = static_cast<std::uint64_t>(rng.range(10, 600));
@@ -308,17 +308,17 @@ DifferentialOracle::DifferentialOracle(OracleConfig config) : config_(config) {
   // under the fast engine, half under the reference engine.
   engine_ = rng.chance(0.5) ? rt::EngineKind::kFast : rt::EngineKind::kReference;
 
-  if (config_.forced_options) options_ = *config_.forced_options;
+  if (config_.forced_pipeline) pipeline_ = *config_.forced_pipeline;
   if (config_.forced_params) params_ = *config_.forced_params;
   if (config_.forced_engine) engine_ = *config_.forced_engine;
 }
 
 OracleVerdict DifferentialOracle::check(const bc::Program& prog) const {
-  return check_with_options(prog, options_);
+  return check_with_pipeline(prog, pipeline_);
 }
 
-OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
-                                                     const opt::OptimizerOptions& options) const {
+OracleVerdict DifferentialOracle::check_with_pipeline(const bc::Program& prog,
+                                                      const opt::PipelineDesc& pipeline) const {
   OracleVerdict verdict;
 
   const TierOutcome ref = run_plain(prog, config_.reference_budget, rt::EngineKind::kReference);
@@ -406,11 +406,11 @@ OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
   auto static_tier = [&](TierKind tier, const heur::InlineHeuristic& h) {
     bc::Program optimized = prog;
     try {
-      const opt::Optimizer optimizer(prog, h, opt::cold_site, options, limits);
+      opt::PassManager pm(prog, h, opt::cold_site, pipeline, limits);
       for (std::size_t i = 0; i < prog.num_methods(); ++i) {
         const auto id = static_cast<bc::MethodId>(i);
-        bc::Method body = optimizer.optimize(id).body.method;
-        apply_planted_bug(body, config_.planted_bug, options);
+        bc::Method body = pm.run(id).body.method;
+        apply_planted_bug(body, config_.planted_bug, pipeline);
         optimized.mutable_method(id) = std::move(body);
       }
     } catch (const Error& e) {
@@ -433,18 +433,18 @@ OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
     static_tier(TierKind::kO2, o2);
   }
 
-  // Pipeline-differential tier: the PassManager behind the Optimizer facade
-  // must be bit-identical — bodies, provenance, and statistics — to the
-  // frozen legacy orchestration for every method under these options.
+  // Pipeline-differential tier: the PassManager must be bit-identical —
+  // bodies, provenance, and statistics — to the frozen legacy orchestration
+  // for every method under this pipeline.
   {
     heur::JikesHeuristic h(params_);
     try {
-      const opt::Optimizer optimizer(prog, h, opt::cold_site, options, limits);
+      opt::PassManager pm(prog, h, opt::cold_site, pipeline, limits);
       for (std::size_t i = 0; i < prog.num_methods(); ++i) {
         const auto id = static_cast<bc::MethodId>(i);
-        const opt::OptimizeResult got = optimizer.optimize(id);
+        const opt::OptimizeResult got = pm.run(id);
         const opt::OptimizeResult want =
-            opt::reference_optimize(prog, id, h, opt::cold_site, options, limits);
+            opt::reference_optimize(prog, id, h, opt::cold_site, pipeline, limits);
         const std::string d = diff_optimized(prog.method(id).name(), want, got);
         if (!d.empty()) {
           record(TierKind::kPipelineDiff, d);
@@ -473,7 +473,7 @@ OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
       cfg.hot_method_threshold = hot_method_threshold_;
       cfg.hot_site_threshold = hot_site_threshold_;
       cfg.rehot_multiplier = rehot_multiplier_;
-      cfg.opt_options = options;
+      cfg.pipeline = pipeline;
       cfg.inline_limits = limits;
       cfg.interp_options.max_instructions = tier_budget;
       cfg.interp_options.engine = engine_;
@@ -515,7 +515,7 @@ OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
   // every iteration, same compile counts and cycles, same globals. Only
   // meaningful when the inliner runs (with inlining off the heuristic is
   // never consulted).
-  if (options.enable_inlining) {
+  if (pipeline.has_pass("inline")) {
     Pcg32 srng(config_.seed, /*seq=*/0x736967ULL);  // "sig" stream
     const auto& ranges = heur::param_ranges();
     opt::SignatureOptions sopts;

@@ -6,11 +6,11 @@
 //
 //   reference  — the unoptimized program, plain interpretation
 //   O1         — every method statically optimized under the Jikes
-//                heuristic with seed-randomized InlineParams and
-//                seed-randomized OptimizerOptions, then interpreted
+//                heuristic with seed-randomized InlineParams and a
+//                seed-randomized PipelineDesc, then interpreted
 //   O2         — every method statically optimized under the
 //                always-inline heuristic (maximal splicing) with the same
-//                OptimizerOptions, then interpreted
+//                pipeline, then interpreted
 //   adaptive   — the full VirtualMachine in the Adapt scenario with
 //                seed-randomized tiering thresholds and OSR, two
 //                iterations (exercises recompilation and frame transfer)
@@ -53,26 +53,30 @@
 
 #include "bytecode/program.hpp"
 #include "heuristics/inline_params.hpp"
-#include "opt/optimizer.hpp"
+#include "opt/pipeline.hpp"
 #include "runtime/interpreter.hpp"
 
 namespace ith::fuzz {
 
 /// Deliberate miscompilations the oracle can inject after optimization —
 /// used only by tests to prove the fuzzer catches, bisects, and shrinks a
-/// real bug. Each plant rides on one OptimizerOptions flag so pass
-/// bisection has a well-defined correct answer.
+/// real bug. Each plant rides on one pipeline pass so pass bisection has a
+/// well-defined correct answer.
 enum class PlantedBug : std::uint8_t {
   kNone,
   /// Folds residual `const a; const b; add` triples (the overflow cases the
   /// real folder deliberately skips) by clamping the sum into the int32
   /// immediate field — wrong whenever the true sum does not fit. Active
-  /// only when OptimizerOptions::enable_folding is set.
+  /// only when the pipeline has the "fold" pass.
   kFoldOverflow,
 };
 
 struct OracleConfig {
-  /// Seed for randomized InlineParams / OptimizerOptions / VM thresholds.
+  /// Seed for randomized InlineParams / PipelineDesc / VM thresholds. Each
+  /// seed draws the same pipeline in every release: eight keep/drop coins in
+  /// a fixed order (inline, fold, copyprop, dce, branch_simplify, algebraic,
+  /// compare_fusion, tail_recursion; the dce coin also keeps or drops
+  /// unreachable) filter PipelineDesc::standard().
   std::uint64_t seed = 1;
   /// Dynamic-instruction budget for the reference run; a program exceeding
   /// it is reported as reference_failed (skip it, it is too hot to fuzz).
@@ -82,9 +86,9 @@ struct OracleConfig {
   std::uint64_t budget_slack = 8;
   int vm_iterations = 2;
   PlantedBug planted_bug = PlantedBug::kNone;
-  /// When set, overrides the seed-randomized optimizer options/params —
-  /// used by the planted-bug tests to pin a known configuration.
-  std::optional<opt::OptimizerOptions> forced_options;
+  /// When set, overrides the seed-randomized pipeline/params — used by the
+  /// planted-bug tests to pin a known configuration.
+  std::optional<opt::PipelineDesc> forced_pipeline;
   std::optional<heur::InlineParams> forced_params;
   /// When set, pins the execution engine for the optimized tiers instead of
   /// the seed-randomized coin flip. The engine-differential tier always
@@ -100,10 +104,10 @@ enum class TierKind : std::uint8_t {
   kEngineDiff,
   kBudgetDiff,
   kSigEquiv,
-  /// PassManager-vs-legacy: every method optimized through the declarative
-  /// pipeline (the Optimizer facade) must be bit-identical — body, per-
-  /// instruction provenance, and OptStats — to the frozen reference_optimize
-  /// orchestration under the same options/params.
+  /// PassManager-vs-legacy: every method optimized through the PassManager
+  /// must be bit-identical — body, per-instruction provenance, and OptStats
+  /// — to the frozen reference_optimize orchestration under the same
+  /// pipeline/params.
   kPipelineDiff,
 };
 
@@ -128,21 +132,21 @@ class DifferentialOracle {
  public:
   explicit DifferentialOracle(OracleConfig config);
 
-  /// Full four-tier differential check under this oracle's options.
+  /// Full differential check under this oracle's pipeline.
   OracleVerdict check(const bc::Program& prog) const;
 
-  /// Same check with explicit optimizer options (pass bisection hook).
-  OracleVerdict check_with_options(const bc::Program& prog,
-                                   const opt::OptimizerOptions& options) const;
+  /// Same check with an explicit pipeline (pass bisection hook).
+  OracleVerdict check_with_pipeline(const bc::Program& prog,
+                                    const opt::PipelineDesc& pipeline) const;
 
-  const opt::OptimizerOptions& options() const { return options_; }
+  const opt::PipelineDesc& pipeline() const { return pipeline_; }
   const heur::InlineParams& params() const { return params_; }
   const OracleConfig& config() const { return config_; }
   rt::EngineKind engine() const { return engine_; }
 
  private:
   OracleConfig config_;
-  opt::OptimizerOptions options_;   // seed-randomized (or forced)
+  opt::PipelineDesc pipeline_;      // seed-randomized (or forced)
   heur::InlineParams params_;       // seed-randomized (or forced)
   std::uint64_t hot_method_threshold_ = 400;
   std::uint64_t hot_site_threshold_ = 300;
@@ -153,8 +157,8 @@ class DifferentialOracle {
 
 /// Applies `bug` to an optimized body (post-optimizer, pre-execution).
 /// Exposed for the shrinker/bisection tests. No-op for kNone or when the
-/// carrying pass flag is disabled.
+/// carrying pass is not in `pipeline`.
 std::size_t apply_planted_bug(bc::Method& body, PlantedBug bug,
-                              const opt::OptimizerOptions& options);
+                              const opt::PipelineDesc& pipeline);
 
 }  // namespace ith::fuzz

@@ -1,11 +1,11 @@
 // obs::Context: the handle every instrumented layer holds.
 //
-// Ownership rule (uniform across VmConfig, EvalConfig, GaConfig and
-// OptimizerOptions — all of which carry an `obs::Context* obs` field): the
-// pointer is NON-OWNING and may be null. Null (the default) means
-// observability is off, and every emit site reduces to a single predictable
-// null-pointer branch — the zero-cost path the fast interpreter's dispatch
-// numbers are guarded against. A non-null context must outlive every object
+// Ownership rule (uniform across VmConfig, EvalConfig and GaConfig, which
+// carry an `obs::Context* obs` field, and the PassManager constructor's
+// `obs` argument): the pointer is NON-OWNING and may be null. Null (the
+// default) means observability is off, and every emit site reduces to a
+// single predictable null-pointer branch — the zero-cost path the fast
+// interpreter's dispatch numbers are guarded against. A non-null context must outlive every object
 // configured with it; the context itself does not own its sink.
 //
 // A Context multiplexes three things:

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "bytecode/size_estimator.hpp"
-#include "opt/optimizer.hpp"
 #include "opt/passes.hpp"
 #include "support/error.hpp"
 
@@ -266,21 +265,10 @@ bool PipelineDesc::has_pass(const std::string& name) const {
          std::find(fixpoint.begin(), fixpoint.end(), name) != fixpoint.end();
 }
 
-PipelineDesc pipeline_from_options(const OptimizerOptions& options) {
-  PipelineDesc p;
-  if (options.enable_inlining) p.setup.push_back("inline");
-  if (options.enable_tail_recursion) p.setup.push_back("tail_recursion");
-  if (options.enable_folding) p.fixpoint.push_back("fold");
-  if (options.enable_algebraic) p.fixpoint.push_back("algebraic");
-  if (options.enable_compare_fusion) p.fixpoint.push_back("compare_fusion");
-  if (options.enable_branch_simplify) p.fixpoint.push_back("branch_simplify");
-  if (options.enable_copyprop) p.fixpoint.push_back("copyprop");
-  if (options.enable_dce) {
-    // One legacy boolean covered both halves of dead-code removal.
-    p.fixpoint.push_back("dce");
-    p.fixpoint.push_back("unreachable");
-  }
-  p.max_iterations = options.max_iterations;
+PipelineDesc PipelineDesc::without(const std::string& name) const {
+  PipelineDesc p = *this;
+  std::erase(p.setup, name);
+  std::erase(p.fixpoint, name);
   return p;
 }
 
@@ -382,56 +370,79 @@ OptimizeResult PassManager::run(bc::MethodId id, InlineReport* report) {
 
 // --- Frozen reference orchestration -------------------------------------
 
+namespace {
+
+/// True when `names` is an in-order, duplicate-free subsequence of `order`.
+bool is_subsequence(const std::vector<std::string>& names, const std::vector<std::string>& order) {
+  auto next = order.begin();
+  for (const std::string& name : names) {
+    next = std::find(next, order.end(), name);
+    if (next == order.end()) return false;
+    ++next;
+  }
+  return true;
+}
+
+}  // namespace
+
 OptimizeResult reference_optimize(const bc::Program& prog, bc::MethodId id,
                                   const heur::InlineHeuristic& heuristic, const SiteOracle& oracle,
-                                  const OptimizerOptions& options, const InlineLimits& limits) {
-  ITH_CHECK(options.max_iterations >= 1, "optimizer needs at least one iteration");
+                                  const PipelineDesc& pipeline, const InlineLimits& limits) {
+  const PipelineDesc standard = PipelineDesc::standard();
+  ITH_CHECK(is_subsequence(pipeline.setup, standard.setup) &&
+                is_subsequence(pipeline.fixpoint, standard.fixpoint),
+            "reference_optimize cannot mirror pipeline '" + pipeline.to_string() +
+                "': setup and fixpoint must each be an in-order, duplicate-free subsequence of "
+                "the standard pipeline");
+  ITH_CHECK(pipeline.max_iterations >= 1, "optimizer needs at least one iteration");
   OptimizeResult result;
 
-  if (options.enable_inlining) {
+  if (pipeline.has_pass("inline")) {
     const Inliner inliner(prog, heuristic, oracle, limits);
     result.body = inliner.run(id, &result.stats.inline_stats);
   } else {
     result.body = AnnotatedMethod::from_method(prog.method(id), id);
   }
 
-  if (options.enable_tail_recursion) {
+  if (pipeline.has_pass("tail_recursion")) {
     result.stats.tail_calls_eliminated =
         eliminate_tail_recursion(result.body, id, prog.method(id).num_args());
   }
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < pipeline.max_iterations; ++iter) {
     std::size_t changes = 0;
-    if (options.enable_folding) {
+    if (pipeline.has_pass("fold")) {
       const std::size_t n = constant_fold(result.body);
       result.stats.folds += n;
       changes += n;
     }
-    if (options.enable_algebraic) {
+    if (pipeline.has_pass("algebraic")) {
       const std::size_t n = simplify_algebraic(result.body);
       result.stats.algebraic_simplifications += n;
       changes += n;
     }
-    if (options.enable_compare_fusion) {
+    if (pipeline.has_pass("compare_fusion")) {
       const std::size_t n = fuse_compare_branch(result.body);
       result.stats.compare_fusions += n;
       changes += n;
     }
-    if (options.enable_branch_simplify) {
+    if (pipeline.has_pass("branch_simplify")) {
       const std::size_t n = simplify_branches(result.body);
       result.stats.branch_simplifications += n;
       changes += n;
     }
-    if (options.enable_copyprop) {
+    if (pipeline.has_pass("copyprop")) {
       const std::size_t n = copy_propagate(result.body);
       result.stats.copyprops += n;
       changes += n;
     }
-    if (options.enable_dce) {
-      std::size_t n = eliminate_dead_stores(result.body);
+    if (pipeline.has_pass("dce")) {
+      const std::size_t n = eliminate_dead_stores(result.body);
       result.stats.dead_stores += n;
       changes += n;
-      n = eliminate_unreachable(result.body);
+    }
+    if (pipeline.has_pass("unreachable")) {
+      const std::size_t n = eliminate_unreachable(result.body);
       result.stats.unreachable_removed += n;
       changes += n;
     }

@@ -1,16 +1,15 @@
-// PassManager: the declarative replacement for Optimizer's eight enable_*
-// booleans. A compilation is a pipeline description — a list of setup
-// passes (inline, tail_recursion) followed by a fixpoint group of scalar
-// passes — executed over one shared AnalysisManager. Passes report what
-// they preserved (PreservedAnalyses) so cached analyses survive exactly as
-// long as they remain true, and each pass leaves a PassStat row
+// PassManager: the optimizing compiler's middle end. A compilation is a
+// pipeline description (PipelineDesc, the one way to say which passes run):
+// a list of setup passes (inline, tail_recursion) followed by a fixpoint
+// group of scalar passes, executed over one shared AnalysisManager. Passes
+// report what they preserved (PreservedAnalyses) so cached analyses survive
+// exactly as long as they remain true, and each pass leaves a PassStat row
 // ("[pass inline] inst 42→40, time 3us") plus opt.pass.* obs counters.
 //
-// The legacy Optimizer facade (optimizer.hpp) maps its boolean options onto
-// a pipeline via pipeline_from_options(); for every five-parameter genome
-// the PassManager's output is bit-identical to the frozen reference_optimize
-// orchestration — enforced by tests/opt/pass_manager_test.cpp and the fuzz
-// pipeline-diff tier.
+// For every five-parameter genome and every pipeline it can mirror, the
+// PassManager's output is bit-identical to the frozen reference_optimize
+// orchestration (the differential oracle) — enforced by
+// tests/opt/pass_manager_test.cpp and the fuzz pipeline-diff tier.
 #pragma once
 
 #include <cstddef>
@@ -25,8 +24,6 @@
 #include "opt/inliner.hpp"
 
 namespace ith::opt {
-
-struct OptimizerOptions;  // optimizer.hpp — the legacy boolean surface
 
 /// Aggregate rewrite counts for one method compilation.
 struct OptStats {
@@ -87,15 +84,13 @@ struct PipelineDesc {
   static PipelineDesc parse(const std::string& text);
 
   bool has_pass(const std::string& name) const;
+
+  /// This pipeline with every occurrence of pass `name` removed.
+  PipelineDesc without(const std::string& name) const;
 };
 
 /// All registerable pass names.
 const std::vector<std::string>& known_pass_names();
-
-/// Deprecated-but-supported bridge from the legacy boolean options to a
-/// pipeline description (tested: every boolean combination maps to the
-/// pipeline whose output is bit-identical to the legacy orchestration).
-PipelineDesc pipeline_from_options(const OptimizerOptions& options);
 
 /// Shared state every pass sees during one compilation.
 struct PassContext {
@@ -168,9 +163,13 @@ class PassManager {
 
 /// The frozen legacy orchestration, kept verbatim (modulo tracing) for
 /// differential testing: the equivalence suite and the fuzz pipeline-diff
-/// tier compare PassManager output against this, method by method.
+/// tier compare PassManager output against this, method by method. Its pass
+/// order is hard-wired, so it mirrors only pipelines whose setup and
+/// fixpoint lists are each an in-order, duplicate-free subsequence of
+/// PipelineDesc::standard()'s; it throws ith::Error for any other pipeline
+/// and for max_iterations < 1.
 OptimizeResult reference_optimize(const bc::Program& prog, bc::MethodId id,
                                   const heur::InlineHeuristic& heuristic, const SiteOracle& oracle,
-                                  const OptimizerOptions& options, const InlineLimits& limits);
+                                  const PipelineDesc& pipeline, const InlineLimits& limits);
 
 }  // namespace ith::opt

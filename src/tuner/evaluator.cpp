@@ -72,8 +72,7 @@ SuiteEvaluator::SuiteEvaluator(std::vector<wl::Workload> suite, EvalConfig confi
   config_.vm_config.scenario = config_.scenario;
   config_.vm_config.obs = config_.obs;
   const opt::PipelineDesc pipeline =
-      config_.vm_config.pipeline ? *config_.vm_config.pipeline
-                                 : opt::pipeline_from_options(config_.vm_config.opt_options);
+      config_.vm_config.pipeline.value_or(opt::PipelineDesc::standard());
   inlines_ = pipeline.has_pass("inline");
   for (const wl::Workload& w : suite_) {
     facts_.push_back(std::make_unique<const opt::ProgramFacts>(w.program));
@@ -422,13 +421,10 @@ std::uint64_t SuiteEvaluator::cache_fingerprint() const {
   fp = mix_u64(fp, v.interp_options.max_arena_words);
   fp = mix_u64(fp, static_cast<std::uint64_t>(v.interp_options.engine));
 
-  // The effective pipeline (explicit override or the boolean mapping) is
-  // what determines which passes run; its canonical string covers the pass
-  // list *and* the fixpoint iteration cap, so any change to either refuses
-  // stale caches.
-  const opt::PipelineDesc pipeline =
-      v.pipeline ? *v.pipeline : opt::pipeline_from_options(v.opt_options);
-  fp = mix_u64(fp, fnv1a(pipeline.to_string()));
+  // The effective pipeline (unset = standard) determines which passes run;
+  // its canonical string covers the pass list *and* the fixpoint iteration
+  // cap, so any change to either refuses stale caches.
+  fp = mix_u64(fp, fnv1a(v.pipeline.value_or(opt::PipelineDesc::standard()).to_string()));
 
   const resilience::RunBudget& b = v.budget;
   fp = mix_u64(fp, b.max_sim_cycles);

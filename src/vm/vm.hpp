@@ -31,7 +31,7 @@
 #include "heuristics/heuristic.hpp"
 #include "obs/context.hpp"
 #include "opt/decision_probe.hpp"
-#include "opt/optimizer.hpp"
+#include "opt/pipeline.hpp"
 #include "resilience/budget.hpp"
 #include "resilience/fault.hpp"
 #include "runtime/icache.hpp"
@@ -58,13 +58,12 @@ struct VmConfig {
   /// hot score reaches hot_method_threshold * rehot_multiplier the method
   /// is recompiled at full O2. 0 collapses the ladder (straight to O2).
   std::uint64_t rehot_multiplier = 12;
-  opt::OptimizerOptions opt_options{};
-  /// Explicit optimization pipeline. When set it overrides the pipeline
-  /// derived from opt_options' booleans (which remain the deprecated
-  /// compatibility surface); parse with opt::PipelineDesc::parse or build
-  /// programmatically. The VM runs one persistent PassManager for the whole
-  /// session, so program-scope analyses (call graph, method sizes, partial
-  /// shapes) are computed once and shared across every compilation.
+  /// Optimization pipeline: which passes run, in what order, and the
+  /// fixpoint iteration cap. Unset means opt::PipelineDesc::standard();
+  /// parse with opt::PipelineDesc::parse or build programmatically. The VM
+  /// runs one persistent PassManager for the whole session, so program-scope
+  /// analyses (call graph, method sizes, partial shapes) are computed once
+  /// and shared across every compilation.
   std::optional<opt::PipelineDesc> pipeline;
   opt::InlineLimits inline_limits{.hard_depth_cap = 20,
                                   .max_recursive_occurrences = 1,
@@ -80,7 +79,7 @@ struct VmConfig {
   /// Observability context. Non-owning, may be null (= tracing off; every
   /// emit site is one predictable branch, so the interpreter's dispatch
   /// throughput is untouched); must outlive the VM. The VM forwards it to
-  /// its Optimizer (opt_options.obs is overwritten with this value).
+  /// its PassManager (and through it to the inliner).
   /// Categories: kCompile (per-compilation spans in *simulated cycles* —
   /// their durations sum exactly to RunResult::compile_cycles_all), kVm
   /// (promotions, hot-site trips, OSR, code installs, iteration spans).

@@ -62,6 +62,37 @@ TEST(Oracle, VerdictIsDeterministic) {
   EXPECT_EQ(a.summary(), b.summary());
 }
 
+// An oracle seed names one pipeline for good: `fuzz_vm --oracle-seed=N`
+// repros, the corpus test's seeds and the smoke campaign's seed range all
+// depend on it. These strings were recorded from the eight-boolean option
+// draws the pipeline draw replaced.
+TEST(Oracle, SeedMapsToRecordedPipeline) {
+  const char* const kRecorded[] = {
+      "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,copyprop,dce,unreachable):6",
+      "tail_recursion,fixpoint(fold,algebraic,compare_fusion,copyprop,dce,unreachable):6",
+      "inline,tail_recursion,fixpoint(fold,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+      "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop):6",
+      "tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop):6",
+      "inline,tail_recursion,fixpoint(fold,algebraic,branch_simplify,copyprop,dce,unreachable):6",
+      "inline,tail_recursion,fixpoint(fold,compare_fusion,branch_simplify,dce,unreachable):6",
+      "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop):6",
+      "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,copyprop,dce,unreachable):6",
+      "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+      "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop):6",
+      "inline,tail_recursion,fixpoint(algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+      "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+      "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+      "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+      "inline,tail_recursion,fixpoint(fold,algebraic,branch_simplify,copyprop,dce,unreachable):6",
+  };
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    OracleConfig config;
+    config.seed = seed;
+    EXPECT_EQ(DifferentialOracle(config).pipeline().to_string(), kRecorded[seed - 1])
+        << "oracle seed " << seed;
+  }
+}
+
 TEST(Oracle, CleanOverSeedBlock) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     GeneratorSpec spec;
@@ -130,19 +161,19 @@ TEST(PlantedBug, CaughtBisectedToFoldingAndShrunk) {
   OracleConfig config;
   config.seed = 3;
   config.planted_bug = PlantedBug::kFoldOverflow;
-  config.forced_options = opt::OptimizerOptions{};  // all passes on
+  config.forced_pipeline = opt::PipelineDesc::standard();  // all passes on
   const DifferentialOracle oracle(config);
 
   // Caught: the oracle reports the miscompiled global.
   const OracleVerdict verdict = oracle.check(prog);
   ASSERT_TRUE(verdict.diverged) << verdict.summary();
 
-  // Bisected: the plant rides on enable_folding, so toggling that flag —
-  // and only that flag — must make the divergence disappear.
+  // Bisected: the plant rides on the fold pass, so dropping that pass —
+  // and only that pass — must make the divergence disappear.
   const BisectResult bisect = bisect_passes(prog, oracle);
   EXPECT_TRUE(bisect.reproduced);
   ASSERT_EQ(bisect.guilty.size(), 1u) << bisect.to_string();
-  EXPECT_EQ(bisect.guilty[0], "folding");
+  EXPECT_EQ(bisect.guilty[0], "fold");
 
   // Shrunk: greedy deletion keeps only the payload.
   ShrinkStats stats;
@@ -160,9 +191,7 @@ TEST(PlantedBug, InertWhenCarryingPassDisabled) {
   OracleConfig config;
   config.seed = 3;
   config.planted_bug = PlantedBug::kFoldOverflow;
-  opt::OptimizerOptions options;
-  options.enable_folding = false;
-  config.forced_options = options;
+  config.forced_pipeline = opt::PipelineDesc::standard().without("fold");
   const OracleVerdict verdict = DifferentialOracle(config).check(prog);
   EXPECT_FALSE(verdict.diverged) << verdict.summary();
 }

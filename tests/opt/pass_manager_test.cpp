@@ -1,7 +1,7 @@
-// PassManager redesign coverage: pipeline description round trips, the
-// deprecated boolean-options bridge, bit-identity of the new pipeline
-// against the frozen legacy orchestration (reference_optimize) for
-// five-parameter genomes, analysis-cache reuse across compilations, the
+// PassManager redesign coverage: pipeline description round trips,
+// bit-identity of the new pipeline against the frozen legacy orchestration
+// (reference_optimize) for five-parameter genomes, the pipelines that
+// oracle refuses, analysis-cache reuse across compilations, the
 // opt.analysis_* obs counters, and the stale-analysis detector that the
 // PreservedAnalyses soundness property tests drive.
 #include "opt/pipeline.hpp"
@@ -16,7 +16,6 @@
 #include "fuzz/campaign.hpp"
 #include "obs/context.hpp"
 #include "obs/sink.hpp"
-#include "opt/optimizer.hpp"
 #include "support/error.hpp"
 #include "testing.hpp"
 #include "workloads/suite.hpp"
@@ -57,26 +56,12 @@ TEST(PipelineDesc, ParseRejectsMalformedDescriptions) {
   EXPECT_THROW(PipelineDesc::parse("fixpoint(bogus):1"), Error);      // unknown fixpoint pass
 }
 
-TEST(PipelineDesc, OptionsBridgeMapsEveryBoolean) {
-  EXPECT_EQ(pipeline_from_options(OptimizerOptions{}), PipelineDesc::standard());
-
-  OptimizerOptions o;
-  o.enable_inlining = false;
-  o.enable_folding = false;
-  o.enable_tail_recursion = false;
-  o.max_iterations = 3;
-  const PipelineDesc p = pipeline_from_options(o);
-  EXPECT_FALSE(p.has_pass("inline"));
-  EXPECT_FALSE(p.has_pass("fold"));
-  EXPECT_FALSE(p.has_pass("tail_recursion"));
-  EXPECT_TRUE(p.has_pass("copyprop"));
-  EXPECT_EQ(p.max_iterations, 3);
-
-  // The textual identity is what the evaluator fingerprints, so distinct
-  // boolean configurations must never collapse onto one string.
-  OptimizerOptions o2 = o;
-  o2.enable_dce = false;
-  EXPECT_NE(pipeline_from_options(o).to_string(), pipeline_from_options(o2).to_string());
+TEST(PipelineDesc, WithoutDropsEveryOccurrenceOfOnePass) {
+  const PipelineDesc p = PipelineDesc::parse("inline,fixpoint(fold,dce,fold):4");
+  const PipelineDesc q = p.without("fold");
+  EXPECT_EQ(q.to_string(), "inline,fixpoint(dce):4");
+  EXPECT_EQ(q.without("inline").to_string(), "fixpoint(dce):4");
+  EXPECT_EQ(p.without("copyprop"), p);
 }
 
 TEST(PipelineDesc, MakePassKnowsEveryRegisteredName) {
@@ -91,15 +76,15 @@ TEST(PipelineDesc, MakePassKnowsEveryRegisteredName) {
 // --- Bit-identity vs the frozen legacy orchestration ----------------------
 
 void expect_identical(const bc::Program& prog, const heur::InlineParams& params,
-                      const SiteOracle& oracle, const OptimizerOptions& options,
+                      const SiteOracle& oracle, const PipelineDesc& pipeline,
                       const std::string& label) {
   const heur::JikesHeuristic h(params);
   const InlineLimits limits{};
-  const Optimizer optimizer(prog, h, oracle, options, limits);
+  PassManager pm(prog, h, oracle, pipeline, limits);
   for (bc::MethodId id = 0; id < static_cast<bc::MethodId>(prog.num_methods()); ++id) {
     SCOPED_TRACE(label + ": method " + prog.method(id).name());
-    const OptimizeResult got = optimizer.optimize(id);
-    const OptimizeResult want = reference_optimize(prog, id, h, oracle, options, limits);
+    const OptimizeResult got = pm.run(id);
+    const OptimizeResult want = reference_optimize(prog, id, h, oracle, pipeline, limits);
     ASSERT_EQ(got.body.method, want.body.method);
     ASSERT_EQ(got.body.meta.size(), want.body.meta.size());
     for (std::size_t pc = 0; pc < got.body.meta.size(); ++pc) {
@@ -147,18 +132,12 @@ std::vector<heur::InlineParams> five_param_variants() {
   return out;
 }
 
-std::vector<OptimizerOptions> option_variants() {
-  OptimizerOptions all;  // every pass on, legacy defaults
-  OptimizerOptions no_inline;
-  no_inline.enable_inlining = false;
-  OptimizerOptions scalar_mix;
-  scalar_mix.enable_folding = false;
-  scalar_mix.enable_algebraic = false;
-  scalar_mix.enable_tail_recursion = false;
-  OptimizerOptions one_iter;
+std::vector<PipelineDesc> pipeline_variants() {
+  const PipelineDesc all = PipelineDesc::standard();
+  const PipelineDesc no_inline = all.without("inline");
+  const PipelineDesc scalar_mix = all.without("fold").without("algebraic").without("tail_recursion");
+  PipelineDesc one_iter = all.without("copyprop").without("dce").without("unreachable");
   one_iter.max_iterations = 1;
-  one_iter.enable_copyprop = false;
-  one_iter.enable_dce = false;
   return {all, no_inline, scalar_mix, one_iter};
 }
 
@@ -174,13 +153,13 @@ std::vector<std::pair<std::string, SiteOracle>> oracle_variants() {
 
 TEST(PassManagerEquivalence, BitIdenticalToLegacyOverWorkloads) {
   const std::vector<heur::InlineParams> params = five_param_variants();
-  const std::vector<OptimizerOptions> options = option_variants();
+  const std::vector<PipelineDesc> pipelines = pipeline_variants();
   const auto oracles = oracle_variants();
   std::size_t i = 0;
   for (const wl::Workload& w : wl::make_suite("all")) {
     for (std::size_t pi = 0; pi < params.size(); ++pi, ++i) {
       const auto& [oracle_name, oracle] = oracles[i % oracles.size()];
-      expect_identical(w.program, params[pi], oracle, options[i % options.size()],
+      expect_identical(w.program, params[pi], oracle, pipelines[i % pipelines.size()],
                        w.name + "/params" + std::to_string(pi) + "/" + oracle_name);
     }
   }
@@ -195,7 +174,7 @@ TEST(PassManagerEquivalence, BitIdenticalToLegacyOverWorkloads) {
 TEST(PassManagerEquivalence, BitIdenticalToLegacyOverFuzzCorpus) {
   const auto entries = fuzz::load_corpus(ITH_FUZZ_CORPUS_DIR);
   ASSERT_FALSE(entries.empty()) << "corpus directory missing or empty";
-  const std::vector<OptimizerOptions> options = option_variants();
+  const std::vector<PipelineDesc> pipelines = pipeline_variants();
   const auto oracles = oracle_variants();
   std::mt19937_64 rng(20260807);
   const auto& ranges = heur::param_ranges();
@@ -208,12 +187,56 @@ TEST(PassManagerEquivalence, BitIdenticalToLegacyOverFuzzCorpus) {
     }
     a[5] = 0;  // five-param genome: partial inlining off
     const auto& [oracle_name, oracle] = oracles[i % oracles.size()];
-    expect_identical(prog, heur::InlineParams::from_array(a), oracle, options[i % options.size()],
+    expect_identical(prog, heur::InlineParams::from_array(a), oracle,
+                     pipelines[i % pipelines.size()],
                      name + "/" + oracle_name);
     ++i;
   }
 }
 #endif
+
+// The frozen orchestration runs its passes in one hard-wired order, so it
+// must refuse a pipeline it cannot mirror rather than let the mismatch be
+// reported as a PassManager bug.
+TEST(PassManagerEquivalence, ReferenceRejectsPipelinesItCannotMirror) {
+  const bc::Program p = ith::test::make_add_program();
+  const heur::JikesHeuristic h;
+  const InlineLimits limits{};
+  auto reference = [&](const std::string& text) {
+    return reference_optimize(p, p.entry(), h, cold_site, PipelineDesc::parse(text), limits);
+  };
+  EXPECT_THROW(reference("inline,fixpoint(copyprop,fold):6"), Error);       // reordered
+  EXPECT_THROW(reference("tail_recursion,inline,fixpoint(fold):6"), Error);  // reordered setup
+  EXPECT_THROW(reference("inline,fixpoint(fold,fold):6"), Error);            // duplicated
+  EXPECT_THROW(reference("fold,fixpoint(copyprop):6"), Error);               // wrong group
+  EXPECT_NO_THROW(reference("inline,fixpoint(fold,unreachable):6"));         // dce split off
+  EXPECT_NO_THROW(reference("fixpoint():1"));
+
+  PipelineDesc zero = PipelineDesc::standard();
+  zero.max_iterations = 0;
+  EXPECT_THROW(reference_optimize(p, p.entry(), h, cold_site, zero, limits), Error);
+}
+
+// bisection drops dce and unreachable one at a time, so the oracle must
+// mirror each of them without the other.
+TEST(PassManagerEquivalence, BitIdenticalWithDeadCodePassesSplit) {
+  const PipelineDesc all = PipelineDesc::standard();
+  for (const char* name : {"compress", "jess"}) {
+    const bc::Program prog = wl::make_workload(name).program;
+    expect_identical(prog, heur::default_params(), cold_site, all.without("dce"),
+                     std::string(name) + "/no-dce");
+    expect_identical(prog, heur::default_params(), cold_site, all.without("unreachable"),
+                     std::string(name) + "/no-unreachable");
+  }
+}
+
+TEST(PassManager, RejectsZeroIterations) {
+  const bc::Program p = ith::test::make_add_program();
+  heur::NeverInlineHeuristic h;
+  PipelineDesc bad = PipelineDesc::standard();
+  bad.max_iterations = 0;
+  EXPECT_THROW(PassManager(p, h, cold_site, bad), Error);
+}
 
 // --- Analysis cache reuse across compilations -----------------------------
 

@@ -237,5 +237,29 @@ TEST_F(EvalCacheFile, FingerprintMismatchRefusedByRestore) {
   EXPECT_EQ(other.cache_size(), 0u);  // nothing leaked in before the check
 }
 
+// Recorded fingerprints: ITHEVC1 files and GA checkpoints written by
+// earlier builds load only while these hold. A change to what the
+// fingerprint hashes (or how) must be deliberate, and show up here.
+TEST(EvalCacheFingerprint, MatchesRecordedValues) {
+  auto fingerprint = [](const tuner::EvalConfig& config) {
+    std::vector<wl::Workload> suite;
+    suite.push_back(wl::Workload{"loop", "", "", ith::test::make_loop_program(50)});
+    return tuner::SuiteEvaluator(std::move(suite), config).cache_fingerprint();
+  };
+  tuner::EvalConfig adapt;
+  adapt.scenario = vm::Scenario::kAdapt;
+  EXPECT_EQ(fingerprint(adapt), 0x259dee3e0f79ab4bULL);
+  tuner::EvalConfig opt_scenario;
+  opt_scenario.scenario = vm::Scenario::kOpt;
+  EXPECT_EQ(fingerprint(opt_scenario), 0x027fac4aaf6f0f85ULL);
+  tuner::EvalConfig custom;
+  custom.vm_config.pipeline = opt::PipelineDesc::parse("inline,fixpoint(fold,copyprop,dce):3");
+  EXPECT_EQ(fingerprint(custom), 0xfa6972988c599055ULL);
+  // Spelling out the standard pipeline is the unset default.
+  tuner::EvalConfig standard;
+  standard.vm_config.pipeline = opt::PipelineDesc::standard();
+  EXPECT_EQ(fingerprint(standard), fingerprint(adapt));
+}
+
 }  // namespace
 }  // namespace ith

@@ -16,7 +16,7 @@
 #include "heuristics/heuristic.hpp"
 #include "obs/context.hpp"
 #include "opt/decision_probe.hpp"
-#include "opt/optimizer.hpp"
+#include "opt/pipeline.hpp"
 #include "resilience/guard.hpp"
 #include "serving/workloads.hpp"
 #include "support/rng.hpp"
@@ -90,7 +90,7 @@ void expect_pool_transparent(const std::vector<wl::Workload>& suite, vm::Scenari
   obs::Context ctx(nullptr);  // counters only
   for (const wl::Workload& w : suite) {
     const opt::ProgramFacts facts(w.program);
-    vm::CodePool pool(facts, opt::pipeline_from_options(cfg.opt_options), cfg.inline_limits);
+    vm::CodePool pool(facts, opt::PipelineDesc::standard(), cfg.inline_limits);
     vm::VmConfig pooled = cfg;
     pooled.code_pool = &pool;
     pooled.obs = &ctx;
@@ -157,7 +157,7 @@ TEST(CodePool, FaultsAndCompileBudgetTripsMatchFreshVmsAndLeaveNoStaleBody) {
   plan.sites = resilience::FaultPlan::site_bit(resilience::FaultSite::kCompileInflate);
   cfg.faults = &plan;
 
-  const opt::PipelineDesc pipeline = opt::pipeline_from_options(cfg.opt_options);
+  const opt::PipelineDesc pipeline = opt::PipelineDesc::standard();
   const opt::ProgramFacts facts(w.program);
   vm::CodePool pool(facts, pipeline, cfg.inline_limits);
   vm::VmConfig pooled = cfg;

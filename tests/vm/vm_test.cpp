@@ -103,25 +103,27 @@ TEST(Vm, RecompilationLadderReusesCachedAnalyses) {
   EXPECT_GT(counter_hits, 0) << "opt.analysis_hits counter missing from the trace";
 }
 
-TEST(Vm, ExplicitPipelineOverridesTheBooleanOptions) {
-  // VmConfig::pipeline is the new-style configuration surface: a pipeline
-  // with inlining stripped must behave like the legacy enable_inlining=false.
+TEST(Vm, ExplicitStandardPipelineMatchesUnset) {
+  // An unset VmConfig::pipeline means PipelineDesc::standard(): spelling it
+  // out must change nothing, bit for bit, in either scenario.
   const bc::Program p = ith::test::make_loop_program(100);
-  heur::JikesHeuristic h1, h2;
-  VmConfig with_pipeline;
-  with_pipeline.pipeline = opt::PipelineDesc::parse("fixpoint(fold,branch_simplify):6");
-  const RunResult a = run_vm(p, Scenario::kOpt, h1, 2, with_pipeline);
-
-  VmConfig legacy;
-  legacy.opt_options.enable_inlining = false;
-  legacy.opt_options.enable_tail_recursion = false;
-  legacy.opt_options.enable_copyprop = false;
-  legacy.opt_options.enable_dce = false;
-  legacy.opt_options.enable_algebraic = false;
-  legacy.opt_options.enable_compare_fusion = false;
-  const RunResult b = run_vm(p, Scenario::kOpt, h2, 2, legacy);
-  EXPECT_EQ(a.running_cycles, b.running_cycles);
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  for (const Scenario sc : {Scenario::kOpt, Scenario::kAdapt}) {
+    SCOPED_TRACE(scenario_name(sc));
+    heur::JikesHeuristic h1, h2;
+    VmConfig explicit_standard;
+    explicit_standard.pipeline = opt::PipelineDesc::standard();
+    const RunResult a = run_vm(p, sc, h1, 2, explicit_standard);
+    const RunResult b = run_vm(p, sc, h2, 2);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.total_cycles, b.total_cycles);
+    EXPECT_EQ(a.running_cycles, b.running_cycles);
+    EXPECT_EQ(a.compile_cycles_all, b.compile_cycles_all);
+    EXPECT_EQ(a.methods_baseline_compiled, b.methods_baseline_compiled);
+    EXPECT_EQ(a.methods_opt_compiled, b.methods_opt_compiled);
+    EXPECT_EQ(a.recompilations, b.recompilations);
+    EXPECT_EQ(a.code_words_emitted, b.code_words_emitted);
+    EXPECT_EQ(a.opt_stats, b.opt_stats);
+  }
 }
 
 TEST(Vm, LazyCompilationSkipsUninvokedMethods) {

@@ -260,6 +260,7 @@ int main(int argc, char** argv) {
     }
     const std::string path = argc > 1 ? argv[1] : "BENCH_interpreter.json";
     ith::bench::DispatchBenchConfig config;
+    config.repeats = ith::bench::kGuardRepeats;
     const auto results = ith::bench::run_dispatch_bench(config);
     std::ofstream out(path);
     if (!out) {
